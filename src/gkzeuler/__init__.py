@@ -24,8 +24,7 @@ from .series import (SeriesValue, dual_gamma_series, epsilon_sigma,
                      transformation_matrix_dual)
 from .intersection import (RelationReport, TwistVector, case_names,
                            exact_coefficient_identity,
-                           gauss_relation_residual, homology_intersection,
-                           kummer_relation_residual, matsumoto_ag,
+                           homology_intersection, matsumoto_ag,
                            matsumoto_confluent,
                            period_relation_matrix_check,
                            pochhammer_cycle_intersection, quadratic_lhs,

@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 residual above tolerance, 2 bad input,
 import argparse
 import json
 import os
+import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from .errors import (BadDimensions, DegenerateLifting, DegenerateParameter,
                      DivergentTail, GkzError, LatticeNotFull,
@@ -22,8 +23,7 @@ from .errors import (BadDimensions, DegenerateLifting, DegenerateParameter,
                      SineZero, SingularMatrix, ZeroDenominator)
 from .config import get_config, load_block_config_json, registry_names
 from .triangulation import (enumerate_ladders, enumerate_regular_triangulations,
-                            ladder_exponents, staircase_triangulation,
-                            triangulate)
+                            ladder_exponents, triangulate)
 from .series import dual_gamma_series, gamma_series
 from .intersection import (case_names, exact_coefficient_identity,
                            verify_case)
@@ -199,8 +199,6 @@ def _cmd_verify(args):
 
 
 def _cmd_identities(args):
-    from fractions import Fraction
-    import random
     rng = random.Random(args.seed)
     rows = []
     ok = True
@@ -222,15 +220,7 @@ def _cmd_identities(args):
 
 
 def _cmd_report(args):
-    names = case_names()
-    workers = int(os.environ.get("GKZ_EULER_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_verify_one, n, args.seed, None)
-                    for n in names]
-            reports = [f.result() for f in futs]
-    else:
-        reports = [_verify_one(n, args.seed, None) for n in names]
+    reports = [_verify_one(n, args.seed, None) for n in case_names()]
     ok = all(r["ok"] for r in reports)
     _emit({"seed": args.seed, "ok": ok, "cases": reports}, args.out)
     return EXIT_OK if ok else EXIT_RESIDUAL

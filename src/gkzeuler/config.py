@@ -14,8 +14,7 @@ integrality for the random parameters used in verification.
 """
 
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,15 +53,6 @@ class Config:
     def submatrix(self, cols):
         """Columns (1-based) as a row-major list of lists."""
         return [[row[j - 1] for j in cols] for row in self.matrix]
-
-    def block_of(self, j):
-        for l, blk in enumerate(self.blocks):
-            if j in blk:
-                return l
-        raise ValueError(f"column {j} not covered by blocks")
-
-    def matrix_rows(self):
-        return [list(row) for row in self.matrix]
 
 
 def _freeze(rows):
@@ -214,14 +204,6 @@ def load_block_config_json(doc):
     if c_v and len(c_v) != n:
         raise BadDimensions("c length mismatch")
     return cfg, gamma_v + c_v
-
-
-def config_to_json(cfg):
-    return {
-        "name": cfg.name,
-        "matrix": intlinalg.matrix_to_json(cfg.matrix_rows()),
-        "blocks": [list(b) for b in cfg.blocks],
-    }
 
 
 # ---------------------------------------------------------------------------

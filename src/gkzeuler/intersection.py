@@ -18,23 +18,14 @@ import numpy as np
 
 from .errors import (DegenerateParameter, NotConvergent, NotUnimodular,
                      ZeroDenominator)
-from .config import (Config, aomoto_gelfand_config, confluent_config,
-                     get_config)
-from .triangulation import (Simplex, make_simplex, staircase_triangulation,
+from .config import aomoto_gelfand_config, confluent_config, get_config
+from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
-from .series import (dual_gamma_series, gamma_series, transformation_matrix,
-                     transformation_matrix_dual)
+from .series import (_as_simplex, dual_gamma_series, gamma_series,
+                     transformation_matrix, transformation_matrix_dual)
 from .specfun import pochhammer, pochhammer_exact, sin_pi_product
 
 _TWO_PI_I = 2j * math.pi
-
-
-def _as_simplex(cfg, sigma):
-    return sigma if isinstance(sigma, Simplex) else make_simplex(cfg, sigma)
-
-
-def _inv_float(simplex):
-    return np.array([[float(x) for x in row] for row in simplex.inv])
 
 
 def pochhammer_cycle_intersection(alphas):
@@ -60,9 +51,7 @@ def homology_intersection(cfg, sigma, delta):
     if abs(simplex.det) != 1:
         raise NotUnimodular(f"sigma={simplex.indices} has |det|="
                             f"{abs(simplex.det)}")
-    inv_f = _inv_float(simplex)
-    dvec = np.asarray([complex(x) for x in delta])
-    rows = inv_f @ dvec
+    rows = simplex.inv_float @ np.asarray([complex(x) for x in delta])
     val = 1.0 + 0j
     for l in range(1, cfg.k + 1):
         if len(simplex.blocks[l]) <= 1:
@@ -208,7 +197,7 @@ def quadratic_prefactor(cfg, delta, twist):
 def condensed_weight(cfg, sigma, delta):
     """pi^d / prod sin(pi * A_sigma^{-1} delta)."""
     simplex = _as_simplex(cfg, sigma)
-    v = _inv_float(simplex) @ np.asarray([complex(x) for x in delta])
+    v = simplex.inv_float @ np.asarray([complex(x) for x in delta])
     return math.pi ** cfg.d / sin_pi_product(list(v))
 
 
@@ -233,6 +222,20 @@ def assembled_weight(cfg, sigma, delta, twist):
     return (_TWO_PI_I) ** (2 * cfg.d - cfg.n) * t * td / h
 
 
+def _relation_sum(cfg, tri, delta, twist, z, M, weight, genericity_bound):
+    """sum over simplices of weight(simplex) phi(delta+) phi_dual(delta-)."""
+    dplus, dminus = twisted_deltas(cfg, delta, twist)
+    total = 0j
+    for s in tri.simplices:
+        w = weight(s)
+        f = gamma_series(cfg, s, None, z, dplus, M,
+                         genericity_bound=genericity_bound)
+        fd = dual_gamma_series(cfg, s, None, z, dminus, M,
+                               genericity_bound=genericity_bound)
+        total += w * f.value * fd.value
+    return total
+
+
 def quadratic_lhs(cfg, tri, delta, twist, z, M, genericity_bound=2):
     """Left hand side of the quadratic relation: prefactor times the sum
     over simplices of pi^d / sin(pi A_sigma^{-1} delta) phi phi_dual with
@@ -241,15 +244,9 @@ def quadratic_lhs(cfg, tri, delta, twist, z, M, genericity_bound=2):
         raise NotUnimodular("triangulation is not unimodular")
     if not tri.convergent:
         raise NotConvergent("triangulation is not convergent")
-    dplus, dminus = twisted_deltas(cfg, delta, twist)
-    total = 0j
-    for s in tri.simplices:
-        w = condensed_weight(cfg, s, delta)
-        f = gamma_series(cfg, s, None, z, dplus, M,
-                         genericity_bound=genericity_bound)
-        fd = dual_gamma_series(cfg, s, None, z, dminus, M,
-                               genericity_bound=genericity_bound)
-        total += w * f.value * fd.value
+    total = _relation_sum(cfg, tri, delta, twist, z, M,
+                          lambda s: condensed_weight(cfg, s, delta),
+                          genericity_bound)
     return quadratic_prefactor(cfg, delta, twist) * total
 
 
@@ -260,16 +257,9 @@ def quadratic_lhs_assembled(cfg, tri, delta, twist, z, M,
     cross-checking."""
     if not tri.unimodular:
         raise NotUnimodular("triangulation is not unimodular")
-    dplus, dminus = twisted_deltas(cfg, delta, twist)
-    total = 0j
-    for s in tri.simplices:
-        w = assembled_weight(cfg, s, delta, twist)
-        f = gamma_series(cfg, s, None, z, dplus, M,
-                         genericity_bound=genericity_bound)
-        fd = dual_gamma_series(cfg, s, None, z, dminus, M,
-                               genericity_bound=genericity_bound)
-        total += w * f.value * fd.value
-    return total
+    return _relation_sum(cfg, tri, delta, twist, z, M,
+                         lambda s: assembled_weight(cfg, s, delta, twist),
+                         genericity_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ def verify_case(name, seed=0, order=None, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Exact rational identities and classical closed forms.
+# Exact rational coefficient identities.
 # ---------------------------------------------------------------------------
 
 def exact_coefficient_identity(kind, degree, alpha, beta=None, gamma=None):
@@ -527,48 +517,6 @@ def exact_coefficient_identity(kind, degree, alpha, beta=None, gamma=None):
                       * pochhammer_exact(g, m) * pochhammer_exact(one, m)))
         return (g - a - 1) * s1 + a * s2
     raise KeyError(f"unknown identity kind {kind!r}")
-
-
-def _hyp2f1(a, b, c, w, M):
-    val = 0j
-    term = 1.0 + 0j
-    for m in range(M + 1):
-        val += term
-        term *= (a + m) * (b + m) / ((c + m) * (m + 1)) * w
-    return val
-
-
-def _hyp1f1(a, c, w, M):
-    val = 0j
-    term = 1.0 + 0j
-    for m in range(M + 1):
-        val += term
-        term *= (a + m) / ((c + m) * (m + 1)) * w
-    return val
-
-
-def gauss_relation_residual(alpha, beta, gamma, w, M=60):
-    """Residual of the classical quadratic relation between products of
-    Gauss series evaluated by direct truncated summation."""
-    lhs = ((1 - gamma + alpha) * (1 - gamma + beta)
-           * _hyp2f1(alpha, beta, gamma, w, M)
-           * _hyp2f1(-alpha, -beta, 2 - gamma, w, M)
-           - alpha * beta
-           * _hyp2f1(gamma - alpha - 1, gamma - beta - 1, gamma, w, M)
-           * _hyp2f1(1 - gamma + alpha, 1 - gamma + beta, 2 - gamma, w, M))
-    rhs = (1 - gamma + alpha + beta) * (1 - gamma)
-    return abs(lhs - rhs) / max(abs(rhs), 1.0)
-
-
-def kummer_relation_residual(alpha, gamma, w, M=60):
-    """Residual of the classical quadratic relation between products of
-    confluent series evaluated by direct truncated summation."""
-    lhs = ((gamma - alpha - 1) * _hyp1f1(alpha, gamma, w, M)
-           * _hyp1f1(-alpha, 2 - gamma, -w, M)
-           + alpha * _hyp1f1(1 + alpha - gamma, 2 - gamma, w, M)
-           * _hyp1f1(gamma - alpha - 1, gamma, -w, M))
-    rhs = gamma - 1
-    return abs(lhs - rhs) / max(abs(rhs), 1.0)
 
 
 # ---------------------------------------------------------------------------

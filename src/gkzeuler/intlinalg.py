@@ -6,9 +6,8 @@ no intermediate swell can overflow.
 """
 
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import SingularMatrix
+from .errors import ExhaustedRetries, SingularMatrix
 
 
 def _copy(M):
@@ -33,56 +32,6 @@ def mat_mul(A, B):
 
 def mat_vec(A, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
-
-
-def transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
-def hermite_normal_form(M):
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular and U*M = H.  Pivots are positive,
-    entries above a pivot are reduced to lie in [0, pivot).
-    """
-    H = _copy(M)
-    nrows, ncols = shape(H)
-    U = identity(nrows)
-    pivot_row = 0
-    for col in range(ncols):
-        # find a row at or below pivot_row with a nonzero entry in this column
-        nonzero = [r for r in range(pivot_row, nrows) if H[r][col] != 0]
-        if not nonzero:
-            continue
-        # euclidean elimination within the column
-        while True:
-            nonzero = [r for r in range(pivot_row, nrows) if H[r][col] != 0]
-            if len(nonzero) == 1:
-                break
-            nonzero.sort(key=lambda r: abs(H[r][col]))
-            r0 = nonzero[0]
-            for r in nonzero[1:]:
-                q = H[r][col] // H[r0][col]
-                H[r] = [a - q * b for a, b in zip(H[r], H[r0])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[r0])]
-        r0 = nonzero[0]
-        if r0 != pivot_row:
-            H[pivot_row], H[r0] = H[r0], H[pivot_row]
-            U[pivot_row], U[r0] = U[r0], U[pivot_row]
-        if H[pivot_row][col] < 0:
-            H[pivot_row] = [-a for a in H[pivot_row]]
-            U[pivot_row] = [-a for a in U[pivot_row]]
-        # reduce the entries above the pivot
-        p = H[pivot_row][col]
-        for r in range(pivot_row):
-            q = H[r][col] // p
-            if q:
-                H[r] = [a - q * b for a, b in zip(H[r], H[pivot_row])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return H, U
 
 
 def smith_normal_form(M):
@@ -174,23 +123,6 @@ def snf_divisors(M):
     return [S[i][i] for i in range(n) if S[i][i] != 0]
 
 
-def integer_kernel(M):
-    """Z-basis of the right integer kernel of M, as columns of a matrix.
-
-    Rows of the HNF transform U corresponding to zero rows of H = U*M^T
-    satisfy row*M^T = 0, i.e. M*row^T = 0.  The basis is canonicalized by a
-    final HNF so the output is deterministic.
-    """
-    nrows, ncols = shape(M)
-    H, U = hermite_normal_form(transpose(M))
-    kernel_rows = [U[r] for r in range(ncols) if all(x == 0 for x in H[r])]
-    if not kernel_rows:
-        return [[] for _ in range(ncols)]
-    K, _ = hermite_normal_form(kernel_rows)
-    K = [row for row in K if any(x != 0 for x in row)]
-    return transpose(K)
-
-
 def det_bareiss(M):
     """Exact integer determinant via fraction-free (Bareiss) elimination."""
     n, m = shape(M)
@@ -247,10 +179,6 @@ def rat_inverse(M):
     return inv, det
 
 
-def submatrix_by_columns(M, cols):
-    return [[row[j] for j in cols] for row in M]
-
-
 def graded_lex_vectors(dim, degree):
     """All nonnegative integer vectors of the given length and exact degree,
     in lexicographic order (the graded order is obtained by iterating over
@@ -267,96 +195,30 @@ def graded_lex_vectors(dim, degree):
             yield (first,) + rest
 
 
-def coset_representatives(A, sigma):
-    """Complete set of representatives k in Z_{>=0}^{sigma-bar} for the
-    classes [A_{sigma-bar} k] of Z^d / Z*A_sigma.
+def coset_representatives(M, count):
+    """The first member, in graded-lex order over k in Z_{>=0}^q, of each of
+    the `count` classes of (M k) mod 1, for a rational d x q matrix M.
 
-    Enumerates k in graded-lex order and keeps the first member of each new
-    class; there are exactly |det A_sigma| classes, and each class is hit by
-    arbitrarily small k, so the search terminates quickly.
+    A simplex needs two such sets: M = A_sigma^{-1} A_{sigma-bar} gives the
+    classes [A_{sigma-bar} k] of Z^d / Z A_sigma, and M = A_sigma^{-T} those
+    of Z^sigma / Z A_sigma^T; both have |det A_sigma| classes.  Each class
+    is hit by small k, so the search stops after a few degrees; it raises
+    ExhaustedRetries if it does not.
     """
-    ncols = shape(A)[1]
-    sigma = list(sigma)
-    sigma_bar = [j for j in range(ncols) if j not in sigma]
-    A_sigma = submatrix_by_columns(A, sigma)
-    inv, det = rat_inverse(A_sigma)
-    r = abs(det)
+    q = shape(M)[1]
     reps = []
     seen = set()
-    C = mat_mul(inv, submatrix_by_columns(A, sigma_bar))
     degree = 0
-    while len(reps) < r:
-        for k in graded_lex_vectors(len(sigma_bar), degree):
-            frac = tuple(x % 1 for x in mat_vec(C, list(k)))
+    while len(reps) < count:
+        if degree > 4 * count + 4:
+            raise ExhaustedRetries(
+                f"coset search found {len(reps)} of {count} classes")
+        for k in graded_lex_vectors(q, degree):
+            frac = tuple(x % 1 for x in mat_vec(M, list(k)))
             if frac not in seen:
                 seen.add(frac)
                 reps.append(list(k))
-                if len(reps) == r:
+                if len(reps) == count:
                     break
         degree += 1
-        if degree > 4 * r + 4:
-            raise AssertionError("coset search did not terminate")
     return reps
-
-
-def brute_force_kernel_vectors(M, bound):
-    """All integer vectors u with M*u = 0 and ||u||_inf <= bound.
-    Exponential; test-oracle use only."""
-    n, m = shape(M)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == m:
-            if all(sum(M[i][j] * prefix[j] for j in range(m)) == 0
-                   for i in range(n)):
-                out.append(list(prefix))
-            return
-        for v in range(-bound, bound + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
-
-
-def det_cofactor(M):
-    """Determinant by cofactor expansion; independent test oracle."""
-    n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        total += (-1) ** j * M[0][j] * det_cofactor(minor)
-    return total
-
-
-def in_z_span(vec, K):
-    """Whether vec lies in the Z-span of the columns of K (exact)."""
-    ncols = shape(K)[1]
-    if ncols == 0:
-        return all(x == 0 for x in vec)
-    # solve K*x = vec over the rationals, then demand integrality;
-    # K has full column rank for our canonical kernels.
-    for cols in combinations(range(len(K)), ncols):
-        sub = [[K[r][c] for c in range(ncols)] for r in cols]
-        if det_bareiss(sub) != 0:
-            inv, _ = rat_inverse(sub)
-            x = mat_vec(inv, [vec[r] for r in cols])
-            if all(xi.denominator == 1 for xi in x):
-                full = mat_vec([[Fraction(e) for e in row] for row in K],
-                               [int(xi) for xi in x])
-                return all(a == b for a, b in zip(full, vec))
-            return False
-    return False
-
-
-def matrix_to_json(M):
-    return [[str(int(x)) for x in row] for row in M]
-
-
-def matrix_from_json(rows):
-    return [[int(x) for x in row] for row in rows]

@@ -18,6 +18,7 @@ from scipy.special import gammaln, loggamma
 from .errors import (DivergentTail, NonGenericParameter, ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
+from .specfun import gamma
 from .triangulation import Simplex, make_simplex
 
 _POLE_TOL = 1e-12
@@ -31,10 +32,13 @@ class SeriesValue:
     last_shell_max: float
     shell_maxes: tuple      # max |term| per shell (diagnostic)
     exponent: tuple         # prefactor exponent on z_sigma, aligned with sigma
+    series_abs: float       # |sum of the terms|, before the z_sigma prefactor
 
     @property
     def trusted(self):
-        return self.last_shell_max < 1e-3 * max(abs(self.value), 1e-300)
+        # the shells are compared with the sum they add to: the prefactor
+        # z_sigma^(-+u0) scales the value, not the convergence of the terms
+        return self.last_shell_max < 1e-3 * max(self.series_abs, 1e-300)
 
 
 def _as_simplex(cfg, sigma):
@@ -44,21 +48,20 @@ def _as_simplex(cfg, sigma):
 
 
 def _series_data(cfg, simplex):
-    """Float/complex views of A_sigma^{-1} and A_sigma^{-1} A_sigma_bar."""
-    sigma = simplex.indices
-    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in sigma]
-    inv = [list(r) for r in simplex.inv]
-    inv_f = np.array([[float(x) for x in row] for row in inv])
+    """sigma-bar and A_sigma^{-1} A_sigma_bar: exact, as floats, and as the
+    integer matrix det * C for the exact congruence test."""
+    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
     if sigma_bar:
-        C_fr = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+        C_fr = intlinalg.mat_mul([list(r) for r in simplex.inv],
+                                 cfg.submatrix(sigma_bar))
         C = np.array([[float(x) for x in row] for row in C_fr])
-        # integer matrix det * C for the exact congruence test
         C_int = np.array([[int(x * abs(simplex.det)) for x in row]
                           for row in C_fr], dtype=object)
     else:
+        C_fr = [[] for _ in range(cfg.d)]
         C = np.zeros((cfg.d, 0))
         C_int = np.zeros((cfg.d, 0), dtype=object)
-    return sigma_bar, inv_f, C, C_int
+    return sigma_bar, C_fr, C, C_int
 
 
 def lattice_shells(cfg, sigma, kvec, M):
@@ -88,7 +91,7 @@ def lattice_shells(cfg, sigma, kvec, M):
 
 def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
     sigma = simplex.indices
-    sigma_bar, inv_f, C, _ = _series_data(cfg, simplex)
+    sigma_bar, _, C, _ = _series_data(cfg, simplex)
     q = len(sigma_bar)
     if genericity_bound and not is_very_generic(cfg, sigma, delta,
                                                 bound=genericity_bound):
@@ -97,7 +100,7 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
     z = np.asarray([complex(x) for x in z])
     delta_c = np.asarray([complex(x) for x in delta])
     logz = np.log(z)
-    u0 = (inv_f @ delta_c[:, None]).ravel()  # A_sigma^{-1} delta
+    u0 = (simplex.inv_float @ delta_c[:, None]).ravel()  # A_sigma^{-1} delta
     logz_sigma = np.array([logz[j - 1] for j in sigma])
     if q:
         logx = np.array([logz[j - 1] for j in sigma_bar]) \
@@ -118,7 +121,7 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
     comp = 0j     # Kahan compensation across shells
     terms = 0
     shell_maxes = []
-    for deg, W in lattice_shells(cfg, sigma, kvec, M):
+    for deg, W in lattice_shells(cfg, simplex, kvec, M):
         if len(W) == 0:
             shell_maxes.append(0.0)
             continue
@@ -154,7 +157,7 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
     return SeriesValue(value=value, order=M, terms_summed=terms,
                        last_shell_max=shell_maxes[-1] if shell_maxes else 0.0,
                        shell_maxes=tuple(shell_maxes),
-                       exponent=prefactor_exponent)
+                       exponent=prefactor_exponent, series_abs=abs(total))
 
 
 def gamma_series(cfg, sigma, kvec, z, delta, M, genericity_bound=2):
@@ -208,10 +211,9 @@ def sgn_A_sigma(cfg, sigma):
 def _sigma0_rowsum(cfg, simplex):
     """sum_{i in sigma^(0)} e_i^T A_sigma^{-1} as a float row vector."""
     idx0 = [p for p, j in enumerate(simplex.indices) if j in cfg.blocks[0]]
-    inv_f = np.array([[float(x) for x in row] for row in simplex.inv])
     if not idx0:
         return np.zeros(cfg.d)
-    return inv_f[idx0, :].sum(axis=0)
+    return simplex.inv_float[idx0, :].sum(axis=0)
 
 
 def epsilon_sigma(cfg, sigma, delta, kvec=None):
@@ -229,28 +231,6 @@ def epsilon_sigma(cfg, sigma, delta, kvec=None):
     return 1.0 - cmath.exp(-2j * math.pi * complex(row @ dvec))
 
 
-def _tilde_coset_reps(simplex):
-    """Complete representatives k~ of Z^sigma / Z (A_sigma^T)."""
-    d = len(simplex.indices)
-    r = abs(simplex.det)
-    invT = [list(col) for col in zip(*[list(row) for row in simplex.inv])]
-    reps = []
-    seen = set()
-    deg = 0
-    while len(reps) < r:
-        for kt in intlinalg.graded_lex_vectors(d, deg):
-            frac = tuple(x % 1 for x in intlinalg.mat_vec(invT, list(kt)))
-            if frac not in seen:
-                seen.add(frac)
-                reps.append(list(kt))
-                if len(reps) == r:
-                    break
-        deg += 1
-        if deg > 4 * r + 4:
-            raise AssertionError("tilde coset search did not terminate")
-    return reps
-
-
 def _scalar_prefactor(cfg, simplex, delta, dual):
     k = cfg.k
     gam = [complex(delta[l]) for l in range(k)]
@@ -263,15 +243,13 @@ def _scalar_prefactor(cfg, simplex, delta, dual):
         if dual:
             num *= cmath.exp(1j * math.pi * g) if single \
                 else cmath.exp(-1j * math.pi * (1 + g))
-            from .specfun import gamma as _gamma
-            den *= _gamma(-g)
+            den *= gamma(-g)
             if single:
                 den *= (1 - cmath.exp(2j * math.pi * g))
         else:
             num *= cmath.exp(-1j * math.pi * g) if single \
                 else cmath.exp(-1j * math.pi * (1 - g))
-            from .specfun import gamma as _gamma
-            den *= _gamma(g)
+            den *= gamma(g)
             if single:
                 den *= (1 - cmath.exp(-2j * math.pi * g))
     if dual:
@@ -300,20 +278,15 @@ def _transformation(cfg, sigma, delta, dual, genericity_bound):
         raise NonGenericParameter(
             f"delta={delta} is not very generic for sigma={simplex.indices}")
     r = abs(simplex.det)
-    A_rows = [list(row) for row in cfg.matrix]
-    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
-    kreps = intlinalg.coset_representatives(A_rows, [j - 1 for j in simplex.indices])
-    ktreps = _tilde_coset_reps(simplex)
-    inv_f = np.array([[float(x) for x in row] for row in simplex.inv])
-    dvec = np.asarray([complex(x) for x in delta])
+    _, C_fr, C, _ = _series_data(cfg, simplex)
+    kreps = intlinalg.coset_representatives(C_fr, r)
+    ktreps = intlinalg.coset_representatives(
+        [list(col) for col in zip(*simplex.inv)], r)
+    u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
     sgn_phase = -1.0 if dual else 1.0
     diag1 = [cmath.exp(sgn_phase * 2j * math.pi
-                       * complex(np.asarray(kt, dtype=float) @ (inv_f @ dvec)))
+                       * complex(np.asarray(kt, dtype=float) @ u0))
              for kt in ktreps]
-    if sigma_bar:
-        C = inv_f @ np.array(cfg.submatrix(sigma_bar), dtype=float)
-    else:
-        C = np.zeros((cfg.d, 0))
     X = [[cmath.exp(2j * math.pi
                     * float(np.asarray(kt, dtype=float) @ (C @ np.asarray(kv, dtype=float))))
           for kv in kreps] for kt in ktreps]

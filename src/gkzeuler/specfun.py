@@ -1,31 +1,17 @@
-"""Complex special-function kernel: Gamma, reciprocal Gamma, Pochhammer
-symbols and sine products.
+"""Complex special-function kernel: Gamma, Pochhammer symbols and sine
+products.
 
-Gamma uses the Lanczos approximation (g = 7, 9 coefficients, good for about
-13 significant digits) with the reflection formula for Re z < 1/2.  The
-reciprocal Gamma returns an exact 0 at (near-)nonpositive integers, which is
-what graded series summation needs when a term dies on a pole.
+Gamma is scipy's complex Gamma behind an explicit pole guard: scipy returns
+nan at a complex pole, the guard raises PoleAtNonpositiveInteger instead.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
-from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
+from scipy.special import gamma as _scipy_gamma
 
-# Lanczos coefficients for g = 7.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
 
 _POLE_TOL = 1e-12
 
@@ -37,29 +23,12 @@ def _is_nonpositive_integer(z, tol=_POLE_TOL):
 
 
 def gamma(z):
-    """Gamma(z) for complex z, >= 12 significant digits on |z| <= 20 off
-    poles.  Raises PoleAtNonpositiveInteger at the poles."""
+    """Gamma(z) for complex z.  Raises PoleAtNonpositiveInteger at the
+    poles."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleAtNonpositiveInteger(f"Gamma pole at z={z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_P[0]
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        acc += p / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
-
-
-def rgamma(z):
-    """Entire reciprocal Gamma; exactly 0 within 1e-12 of a nonpositive
-    integer."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        return 0j
-    return 1.0 / gamma(z)
+    return complex(_scipy_gamma(z))
 
 
 def pochhammer(alpha, beta):
@@ -127,14 +96,3 @@ def sin_pi_product(v):
             raise SineZero(f"sin(pi z) vanishes at z={x}")
         out *= cmath.sin(math.pi * x)
     return out
-
-
-def pochhammer_reflection_check(gamma_val, m):
-    """Residual of the reflection identity
-    (g)_m = 2 pi i e^{-pi i g} (-1)^m / (Gamma(g) Gamma(1-g-m) (1-e^{-2 pi i g})).
-    """
-    g = complex(gamma_val)
-    lhs = _pochhammer_int(g, m)
-    rhs = (2j * math.pi * cmath.exp(-1j * math.pi * g) * (-1) ** m
-           / (gamma(g) * gamma(1 - g - m) * (1 - cmath.exp(-2j * math.pi * g))))
-    return abs(lhs - rhs)

@@ -11,10 +11,13 @@ test; failures raise NotATriangulation instead of proceeding silently.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (BadDimensions, DegenerateLifting, ExhaustedRetries,
-                     NotATriangulation)
+                     NotATriangulation, SingularMatrix)
 from . import intlinalg
 
 
@@ -29,6 +32,12 @@ class Simplex:
     def r(self):
         return abs(self.det)
 
+    @cached_property
+    def inv_float(self):
+        """A_sigma^{-1} as a float array, the numeric view every series and
+        weight evaluation reads."""
+        return np.array([[float(x) for x in row] for row in self.inv])
+
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -41,19 +50,21 @@ class Triangulation:
         return frozenset(s.indices for s in self.simplices)
 
 
-def make_simplex(cfg, indices):
-    indices = tuple(sorted(indices))
-    sub = cfg.submatrix(indices)
-    inv, det = intlinalg.rat_inverse(sub)
+def _simplex(cfg, indices, inv, det):
     blocks = tuple(tuple(j for j in indices if j in blk) for blk in cfg.blocks)
     return Simplex(indices=indices, det=det,
                    inv=tuple(tuple(row) for row in inv), blocks=blocks)
 
 
-def block_decompose(sigma, cfg):
-    """Partition sigma by the configuration's blocks I_0, ..., I_k."""
-    return tuple(tuple(j for j in sorted(sigma) if j in blk)
-                 for blk in cfg.blocks)
+def make_simplex(cfg, indices):
+    """The simplex on d distinct 1-based column indices of cfg."""
+    indices = tuple(sorted(indices))
+    if len(indices) != cfg.d or len(set(indices)) != cfg.d \
+            or not all(1 <= j <= cfg.N for j in indices):
+        raise BadDimensions(f"a simplex needs {cfg.d} distinct column "
+                            f"indices in 1..{cfg.N}, got {indices}")
+    inv, det = intlinalg.rat_inverse(cfg.submatrix(indices))
+    return _simplex(cfg, indices, inv, det)
 
 
 def _triangulate_raw(cfg, omega):
@@ -64,10 +75,10 @@ def _triangulate_raw(cfg, omega):
     omega = [Fraction(w) for w in omega]
     out = []
     for sigma in combinations(range(1, N + 1), d):
-        sub = cfg.submatrix(sigma)
-        if intlinalg.det_bareiss(sub) == 0:
+        try:
+            inv, det = intlinalg.rat_inverse(cfg.submatrix(sigma))
+        except SingularMatrix:
             continue
-        inv, _ = intlinalg.rat_inverse(sub)
         # row vector m = omega_sigma * A_sigma^{-1}
         w_sigma = [omega[j - 1] for j in sigma]
         m = [sum(w_sigma[i] * inv[i][c] for i in range(d)) for c in range(d)]
@@ -83,7 +94,7 @@ def _triangulate_raw(cfg, omega):
                 ok = False
                 break
         if ok:
-            out.append(make_simplex(cfg, sigma))
+            out.append(_simplex(cfg, sigma, inv, det))
     return out
 
 
@@ -182,22 +193,32 @@ def is_unimodular(simplices):
     return all(s.r == 1 for s in simplices)
 
 
+def _validate(cfg, simplices, rays, seed):
+    """Raise NotATriangulation unless the simplices pass the volume sum (for
+    a homogeneous configuration) and the random-ray multiplicity test."""
+    if is_homogeneous(cfg):
+        vol = sum(s.r for s in simplices)
+        if vol != normalized_volume(cfg):
+            raise NotATriangulation(
+                f"volume sum {vol} != normalized volume "
+                f"{normalized_volume(cfg)}")
+    if not _ray_test(cfg, simplices, rays, random.Random(seed)):
+        raise NotATriangulation("random-ray multiplicity test failed")
+
+
+def _triangulation(cfg, simplices, omega):
+    return Triangulation(simplices=tuple(simplices), omega=tuple(omega),
+                         convergent=is_convergent(cfg, simplices),
+                         unimodular=is_unimodular(simplices))
+
+
 def triangulate(cfg, omega, validate=True, rays=200, seed=0):
     """Regular triangulation T(omega); validated unless validate=False."""
     simplices = _triangulate_raw(cfg, omega)
     simplices.sort(key=lambda s: s.indices)
     if validate:
-        if is_homogeneous(cfg):
-            vol = sum(s.r for s in simplices)
-            if vol != normalized_volume(cfg):
-                raise NotATriangulation(
-                    f"volume sum {vol} != normalized volume "
-                    f"{normalized_volume(cfg)}")
-        if not _ray_test(cfg, simplices, rays, random.Random(seed)):
-            raise NotATriangulation("random-ray multiplicity test failed")
-    return Triangulation(simplices=tuple(simplices), omega=tuple(omega),
-                         convergent=is_convergent(cfg, simplices),
-                         unimodular=is_unimodular(simplices))
+        _validate(cfg, simplices, rays, seed)
+    return _triangulation(cfg, simplices, omega)
 
 
 def triangulation_from_simplices(cfg, index_sets, validate=True, seed=0):
@@ -206,17 +227,8 @@ def triangulation_from_simplices(cfg, index_sets, validate=True, seed=0):
     simplices = sorted((make_simplex(cfg, s) for s in index_sets),
                        key=lambda s: s.indices)
     if validate:
-        if is_homogeneous(cfg):
-            vol = sum(s.r for s in simplices)
-            if vol != normalized_volume(cfg):
-                raise NotATriangulation(
-                    f"volume sum {vol} != normalized volume "
-                    f"{normalized_volume(cfg)}")
-        if not _ray_test(cfg, simplices, 200, random.Random(seed)):
-            raise NotATriangulation("random-ray multiplicity test failed")
-    return Triangulation(simplices=tuple(simplices), omega=(),
-                         convergent=is_convergent(cfg, simplices),
-                         unimodular=is_unimodular(simplices))
+        _validate(cfg, simplices, 200, seed)
+    return _triangulation(cfg, simplices, ())
 
 
 def sample_interior_lifting(cfg, seed=0, tries=1000, span=10 ** 6):
@@ -335,12 +347,3 @@ def staircase_triangulation(cfg, k, n, confluent=False, validate=True):
     else:
         sets = [ladder_to_simplex(lad, cfg) for lad in ladders]
     return triangulation_from_simplices(cfg, sets, validate=validate)
-
-
-def triangulation_to_json(tri):
-    return {
-        "omega": list(tri.omega),
-        "simplices": [list(s.indices) for s in tri.simplices],
-        "convergent": tri.convergent,
-        "unimodular": tri.unimodular,
-    }

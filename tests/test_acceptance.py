@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from oracles import pochhammer_reflection_check
 
 from gkzeuler import config, intersection, intlinalg, series, specfun, \
     triangulation
@@ -204,8 +205,9 @@ def test_lattice_coset_partition_to_degree_twenty():
     cfg = config.get_config("g1")
     s = triangulation.make_simplex(cfg, (2, 3, 4))
     assert s.r == 2
-    kreps = intlinalg.coset_representatives(cfg.matrix_rows(),
-                                            [j - 1 for j in s.indices])
+    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
+    C = intlinalg.mat_mul([list(r) for r in s.inv], cfg.submatrix(sigma_bar))
+    kreps = intlinalg.coset_representatives(C, s.r)
     q = cfg.N - cfg.d
     shells = {tuple(k): dict(series.lattice_shells(cfg, s, k, 20))
               for k in kreps}
@@ -226,7 +228,7 @@ def test_pochhammer_reflection_hundred_draws():
             continue
         m = rng.randrange(0, 15)
         scale = max(abs(specfun.pochhammer(g, m)), 1.0)
-        assert specfun.pochhammer_reflection_check(g, m) < 1e-11 * scale
+        assert pochhammer_reflection_check(g, m) < 1e-11 * scale
         checked += 1
 
 
@@ -268,8 +270,7 @@ def test_monodromy_weights_are_exact():
     inv = [[Fraction(x) for x in row] for row in s.inv]
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
-    kreps = intlinalg.coset_representatives(cfg.matrix_rows(),
-                                            [j - 1 for j in s.indices])
+    kreps = intlinalg.coset_representatives(C, s.r)
     for kvec in kreps:
         for deg, W in series.lattice_shells(cfg, s, kvec, 15):
             for w in W:

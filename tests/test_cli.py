@@ -1,5 +1,6 @@
 """Command line interface: JSON output shape, exit codes and determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,8 +20,10 @@ def test_triangulate_json_and_exit_ok(capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(out)
     assert doc["config"] == "gamma2"
+    assert doc["omega"] == [7, 1, 2, 5]
     assert all(isinstance(s, list) for s in doc["simplices"])
     assert isinstance(doc["convergent"], bool)
+    assert isinstance(doc["unimodular"], bool)
 
 
 def test_triangulate_bad_omega_length(capsys):
@@ -50,11 +53,27 @@ def test_fan_scan_counts(capsys):
     assert len(doc["triangulations"]) == 3
 
 
+# sha256 of stdout, recorded before the refactor that merged the coset
+# searches and the triangulation validation; exact arithmetic only, so the
+# digests do not depend on the machine
+_PINNED_SHA256 = {
+    "fan-scan --config g1 --samples 300 --seed 5":
+        "0b348b71f1a3732d3f7f7758244acc6489c67e0afee9f77807de65046e412ecf",
+    "identities --degree 12":
+        "235b6074611c835bde06ff034525ed495495a371a65bbdae16aae0256cb542db",
+    "ladders --k 2 --n 5":
+        "c83743158cd4d69f63b8a737cc14bdf0f55109c4b1433d446bd5b822cc7a925e",
+}
+
+
 def test_fan_scan_deterministic_bytes(capsys):
     argv = ["fan-scan", "--config", "g1", "--samples", "300", "--seed", "5"]
     _, first = _run(capsys, argv)
     _, second = _run(capsys, argv)
     assert first == second
+    for command, digest in _PINNED_SHA256.items():
+        _, out = _run(capsys, command.split())
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_ladders_and_exponents(capsys):
@@ -78,6 +97,23 @@ def test_series_trusted_and_numeric_exit(capsys):
     assert isinstance(doc["value"], list) and len(doc["value"]) == 2
     code, _ = _run(capsys, base + ["--z", "1,1,1,2.5", "--order", "30"])
     assert code == cli.EXIT_NUMERIC
+    # a shallow truncation is untrusted however z is rescaled along the row
+    # space of A, which changes only the prefactor z_sigma^(-u0)
+    for z in ("1,1,1,0.9", "1e-9,1,1e-9,0.9"):
+        code, out = _run(capsys, base + ["--z", z, "--order", "4"])
+        assert code == cli.EXIT_NUMERIC, z
+        assert json.loads(out)["trusted"] is False
+
+
+@pytest.mark.parametrize("sigma", ["0,1,2", "1,2", "1,2,9", "1,1,2"])
+def test_series_bad_sigma(capsys, sigma):
+    code = cli.main(["series", "--config", "gauss", "--sigma", sigma,
+                     "--delta", "0.377,0.211,0.613", "--z", "1,1,1,0.05",
+                     "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
 
 
 def test_series_non_generic_parameter(capsys):
@@ -104,8 +140,7 @@ def test_identities_exact(capsys):
                for row in doc["identities"])
 
 
-def test_report_all_cases(capsys, monkeypatch):
-    monkeypatch.setenv("GKZ_EULER_THREADS", "4")
+def test_report_all_cases(capsys):
     code, out = _run(capsys, ["report", "--seed", "0"])
     assert code == cli.EXIT_OK
     doc = json.loads(out)

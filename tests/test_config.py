@@ -118,15 +118,6 @@ def test_is_very_generic_accepts_irrational_like_and_rejects_integral():
     assert not config.is_very_generic(cfg, sigma, bad, bound=5)
 
 
-def test_config_json_roundtrip():
-    cfg = config.get_config("g1")
-    doc = config.config_to_json(cfg)
-    assert doc["name"] == "g1"
-    assert doc["blocks"] == [list(b) for b in cfg.blocks]
-    rebuilt = [[int(x) for x in row] for row in doc["matrix"]]
-    assert rebuilt == cfg.matrix_rows()
-
-
 def test_load_block_config_json():
     doc = {
         "k": 1, "n": 1,

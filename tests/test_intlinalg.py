@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import det_cofactor
 
 from gkzeuler import intlinalg
-from gkzeuler.errors import SingularMatrix
+from gkzeuler.errors import ExhaustedRetries, SingularMatrix
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -19,28 +20,6 @@ square_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
         min_size=n, max_size=n))
-
-
-def _is_row_hnf(H):
-    lead = -1
-    for row in H:
-        nz = [j for j, x in enumerate(row) if x != 0]
-        if not nz:
-            continue
-        p = nz[0]
-        assert p > lead
-        lead = p
-        assert row[p] > 0
-    return True
-
-
-@given(small_matrices)
-@settings(max_examples=150, deadline=None)
-def test_hnf_transform_and_shape(M):
-    H, U = intlinalg.hermite_normal_form(M)
-    assert intlinalg.mat_mul(U, M) == H
-    assert abs(intlinalg.det_bareiss(U)) == 1 if len(U) == len(U[0]) else True
-    _is_row_hnf(H)
 
 
 @given(small_matrices)
@@ -64,31 +43,7 @@ def test_snf_transform_and_divisibility(M):
 @given(square_matrices)
 @settings(max_examples=150, deadline=None)
 def test_det_bareiss_matches_cofactor_expansion(M):
-    assert intlinalg.det_bareiss(M) == intlinalg.det_cofactor(M)
-
-
-@given(small_matrices)
-@settings(max_examples=100, deadline=None)
-def test_integer_kernel_columns_annihilate(M):
-    K = intlinalg.integer_kernel(M)
-    rows, cols = len(M), len(M[0])
-    assert len(K) == cols
-    nullity = len(K[0]) if K else 0
-    for j in range(nullity):
-        col = [K[r][j] for r in range(cols)]
-        prod = intlinalg.mat_vec(M, col)
-        assert all(x == 0 for x in prod)
-    # rank-nullity over Q
-    rank = cols - nullity
-    assert 0 <= rank <= min(rows, cols)
-
-
-def test_integer_kernel_matches_brute_force_on_small_case():
-    M = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]
-    K = intlinalg.integer_kernel(M)
-    brute = intlinalg.brute_force_kernel_vectors(M, bound=3)
-    for v in brute:
-        assert intlinalg.in_z_span(v, K)
+    assert intlinalg.det_bareiss(M) == det_cofactor(M)
 
 
 @given(square_matrices)
@@ -120,9 +75,9 @@ def test_graded_lex_vectors_degree_zero_and_empty_dim():
     assert list(intlinalg.graded_lex_vectors(0, 1)) == []
 
 
-def test_matrix_json_roundtrip_with_big_integers():
-    M = [[10 ** 30, -1], [0, 7]]
-    doc = intlinalg.matrix_to_json(M)
-    assert intlinalg.matrix_from_json(doc) == M
-    # decimal string encoding
-    assert doc[0][0] == str(10 ** 30)
+def test_coset_search_raises_when_classes_run_out():
+    half = [[Fraction(1, 2)]]
+    assert intlinalg.coset_representatives(half, 2) == [[0], [1]]
+    # (k / 2) mod 1 takes two values, so a third class never appears
+    with pytest.raises(ExhaustedRetries):
+        intlinalg.coset_representatives(half, 3)

@@ -23,13 +23,19 @@ def _nonunimodular_simplex(cfg):
     raise AssertionError("no non-unimodular simplex found")
 
 
+def _coset_reps(cfg, s):
+    """Representatives k of Z^d / Z A_sigma, read off A_sigma^{-1} A_bar."""
+    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
+    C = intlinalg.mat_mul([list(r) for r in s.inv], cfg.submatrix(sigma_bar))
+    return intlinalg.coset_representatives(C, s.r)
+
+
 def test_lattice_cosets_partition_the_orthant():
     # the shifted lattices Lambda_k over a complete set of coset
     # representatives partition Z_{>=0}^{sigma_bar}, degree by degree
     cfg = config.get_config("g1")
     s = _nonunimodular_simplex(cfg)
-    sigma0 = [j - 1 for j in s.indices]
-    kreps = intlinalg.coset_representatives(cfg.matrix_rows(), sigma0)
+    kreps = _coset_reps(cfg, s)
     assert len(kreps) == s.r
     q = cfg.N - cfg.d
     maxdeg = 20
@@ -51,8 +57,7 @@ def test_lattice_shell_congruence_is_exact():
     inv = [[Fraction(x) for x in row] for row in s.inv]
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
-    sigma0 = [j - 1 for j in s.indices]
-    kvec = intlinalg.coset_representatives(cfg.matrix_rows(), sigma0)[1]
+    kvec = intlinalg.coset_representatives(C, s.r)[1]
     for deg, W in series.lattice_shells(cfg, s, kvec, 12):
         for w in W:
             m = [int(wi) - ki for wi, ki in zip(w, kvec)]
@@ -127,8 +132,7 @@ def test_series_matches_direct_summation_unimodular(dual):
 def test_series_matches_direct_summation_with_cosets(dual):
     cfg = config.get_config("g1")
     s = _nonunimodular_simplex(cfg)
-    sigma0 = [j - 1 for j in s.indices]
-    kreps = intlinalg.coset_representatives(cfg.matrix_rows(), sigma0)
+    kreps = _coset_reps(cfg, s)
     delta = [0.313, 0.577, 0.239]
     tri = next(t for t in triangulation.enumerate_regular_triangulations(
         cfg, samples=200, seed=1) if s.indices in t.index_sets())

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkzeuler import config, intersection, triangulation
+from gkzeuler import cli, config, intersection, triangulation
 from gkzeuler.errors import BadDimensions, DegenerateLifting, NotATriangulation
 
 
@@ -240,7 +240,7 @@ def test_e36c_staircase_exponent_vectors_match_reference():
 def test_triangulation_to_json_shape():
     cfg = config.get_config("gamma2")
     tri = triangulation.triangulate(cfg, [7, 1, 2, 5])
-    doc = triangulation.triangulation_to_json(tri)
+    doc = cli._tri_payload(cfg, tri)
     assert doc["omega"] == [7, 1, 2, 5]
     assert all(isinstance(s, list) for s in doc["simplices"])
     assert {"convergent", "unimodular"} <= set(doc)
