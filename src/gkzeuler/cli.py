@@ -143,6 +143,10 @@ def _cmd_ladders(args):
     }
     if args.ctilde:
         ct = _floats(args.ctilde)
+        want = args.n if args.confluent else args.n + 1
+        if len(ct) != want:
+            raise BadDimensions(f"ctilde needs {want} entries for n={args.n}, "
+                                f"got {len(ct)}")
         payload["exponents"] = [
             {f"{i},{j}": v for (i, j), v in
              ladder_exponents(lad, ct, confluent=args.confluent).items()}

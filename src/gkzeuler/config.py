@@ -46,10 +46,6 @@ class Config:
     def n(self):
         return self.d - self.k
 
-    def column(self, j):
-        """Column j (1-based) as a list."""
-        return [row[j - 1] for row in self.matrix]
-
     def submatrix(self, cols):
         """Columns (1-based) as a row-major list of lists."""
         return [[row[j - 1] for j in cols] for row in self.matrix]
@@ -167,26 +163,17 @@ def confluent_config(k, n):
                   name=f"confluent({k},{n})", pairs=tuple(pairs))
 
 
-def is_very_generic(config, sigma, delta, bound=50, tol=1e-9):
+def is_very_generic(simplex, delta, bound=2):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
-    within tol of an integer for all m >= 0 with |m| <= bound."""
-    sigma = list(sigma)
-    sigma_bar = [j for j in range(1, config.N + 1) if j not in sigma]
-    inv, _ = intlinalg.rat_inverse(config.submatrix(sigma))
-    u0 = np.array(intlinalg.mat_vec(
-        [[complex(x) for x in row] for row in inv], list(delta)))
-    if not sigma_bar:
-        ent = u0
-        return not np.any((np.abs(ent.real - np.round(ent.real)) < tol)
-                          & (np.abs(ent.imag) < tol))
-    C = np.array([[float(x) for x in row] for row in intlinalg.mat_mul(
-        inv, config.submatrix(sigma_bar))])
+    within 1e-9 of an integer for all m >= 0 with |m| <= bound."""
+    u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
+    q = len(simplex.bar)
     for deg in range(bound + 1):
-        W = np.array(list(intlinalg.graded_lex_vectors(len(sigma_bar), deg)),
-                     dtype=float)
-        ent = u0[None, :] + W @ C.T
-        near = (np.abs(ent.real - np.round(ent.real)) < tol) \
-            & (np.abs(ent.imag) < tol)
+        W = np.array(list(intlinalg.graded_lex_vectors(q, deg)),
+                     dtype=float).reshape(-1, q)
+        ent = u0[None, :] + W @ simplex.C_float.T
+        near = (np.abs(ent.real - np.round(ent.real)) < 1e-9) \
+            & (np.abs(ent.imag) < 1e-9)
         if np.any(near):
             return False
     return True

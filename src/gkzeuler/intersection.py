@@ -60,15 +60,13 @@ def homology_intersection(cfg, sigma, delta):
         for p, j in enumerate(simplex.indices):
             if j in simplex.blocks[l]:
                 val *= 1.0 - cmath.exp(-_TWO_PI_I * rows[p])
-    if simplex.blocks[0]:
-        pos0 = [p for p, j in enumerate(simplex.indices)
-                if j in simplex.blocks[0]]
-        for p in pos0:
-            val *= hankel_intersection(rows[p])
-        if len(pos0) > 1:
-            gamma0 = sum(rows[p] for p in pos0)
-            val *= hankel_intersection(gamma0)
-            val *= 1.0 - cmath.exp(_TWO_PI_I * gamma0)
+    pos0 = simplex.pos0
+    for p in pos0:
+        val *= hankel_intersection(rows[p])
+    if len(pos0) > 1:
+        gamma0 = sum(rows[p] for p in pos0)
+        val *= hankel_intersection(gamma0)
+        val *= 1.0 - cmath.exp(_TWO_PI_I * gamma0)
     return val
 
 
@@ -222,21 +220,19 @@ def assembled_weight(cfg, sigma, delta, twist):
     return (_TWO_PI_I) ** (2 * cfg.d - cfg.n) * t * td / h
 
 
-def _relation_sum(cfg, tri, delta, twist, z, M, weight, genericity_bound):
+def _relation_sum(cfg, tri, delta, twist, z, M, weight):
     """sum over simplices of weight(simplex) phi(delta+) phi_dual(delta-)."""
     dplus, dminus = twisted_deltas(cfg, delta, twist)
     total = 0j
     for s in tri.simplices:
         w = weight(s)
-        f = gamma_series(cfg, s, None, z, dplus, M,
-                         genericity_bound=genericity_bound)
-        fd = dual_gamma_series(cfg, s, None, z, dminus, M,
-                               genericity_bound=genericity_bound)
+        f = gamma_series(cfg, s, None, z, dplus, M)
+        fd = dual_gamma_series(cfg, s, None, z, dminus, M)
         total += w * f.value * fd.value
     return total
 
 
-def quadratic_lhs(cfg, tri, delta, twist, z, M, genericity_bound=2):
+def quadratic_lhs(cfg, tri, delta, twist, z, M):
     """Left hand side of the quadratic relation: prefactor times the sum
     over simplices of pi^d / sin(pi A_sigma^{-1} delta) phi phi_dual with
     twisted parameters."""
@@ -245,21 +241,18 @@ def quadratic_lhs(cfg, tri, delta, twist, z, M, genericity_bound=2):
     if not tri.convergent:
         raise NotConvergent("triangulation is not convergent")
     total = _relation_sum(cfg, tri, delta, twist, z, M,
-                          lambda s: condensed_weight(cfg, s, delta),
-                          genericity_bound)
+                          lambda s: condensed_weight(cfg, s, delta))
     return quadratic_prefactor(cfg, delta, twist) * total
 
 
-def quadratic_lhs_assembled(cfg, tri, delta, twist, z, M,
-                            genericity_bound=2):
+def quadratic_lhs_assembled(cfg, tri, delta, twist, z, M):
     """Same quantity computed through the transformation matrices and the
     homology intersection numbers; an independent route used for
     cross-checking."""
     if not tri.unimodular:
         raise NotUnimodular("triangulation is not unimodular")
     return _relation_sum(cfg, tri, delta, twist, z, M,
-                         lambda s: assembled_weight(cfg, s, delta, twist),
-                         genericity_bound)
+                         lambda s: assembled_weight(cfg, s, delta, twist))
 
 
 # ---------------------------------------------------------------------------

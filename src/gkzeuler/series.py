@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .errors import (DivergentTail, NonGenericParameter, ScaleTooSmall)
+from .errors import (BadDimensions, DivergentTail, NonGenericParameter,
+                     ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
 from .specfun import gamma
@@ -47,23 +48,6 @@ def _as_simplex(cfg, sigma):
     return make_simplex(cfg, sigma)
 
 
-def _series_data(cfg, simplex):
-    """sigma-bar and A_sigma^{-1} A_sigma_bar: exact, as floats, and as the
-    integer matrix det * C for the exact congruence test."""
-    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
-    if sigma_bar:
-        C_fr = intlinalg.mat_mul([list(r) for r in simplex.inv],
-                                 cfg.submatrix(sigma_bar))
-        C = np.array([[float(x) for x in row] for row in C_fr])
-        C_int = np.array([[int(x * abs(simplex.det)) for x in row]
-                          for row in C_fr], dtype=object)
-    else:
-        C_fr = [[] for _ in range(cfg.d)]
-        C = np.zeros((cfg.d, 0))
-        C_int = np.zeros((cfg.d, 0), dtype=object)
-    return sigma_bar, C_fr, C, C_int
-
-
 def lattice_shells(cfg, sigma, kvec, M):
     """All w = k + m in Lambda_k with |w| <= M, grouped by graded degree.
 
@@ -71,9 +55,7 @@ def lattice_shells(cfg, sigma, kvec, M):
     order; rows satisfy the exact congruence A_sigma_bar (w - k) in Z A_sigma.
     """
     simplex = _as_simplex(cfg, sigma)
-    sigma_bar, _, _, C_int = _series_data(cfg, simplex)
-    q = len(sigma_bar)
-    r = abs(simplex.det)
+    q, r, C_int = len(simplex.bar), simplex.r, simplex.C_int
     kvec = list(kvec) if kvec is not None else [0] * q
     for deg in range(M + 1):
         rows = list(intlinalg.graded_lex_vectors(q, deg))
@@ -89,12 +71,17 @@ def lattice_shells(cfg, sigma, kvec, M):
         yield deg, np.array(rows, dtype=np.int64).reshape(len(rows), q)
 
 
-def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
-    sigma = simplex.indices
-    sigma_bar, _, C, _ = _series_data(cfg, simplex)
+def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
+    sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
-    if genericity_bound and not is_very_generic(cfg, sigma, delta,
-                                                bound=genericity_bound):
+    if M < 0:
+        raise BadDimensions(f"order must be >= 0, got {M}")
+    if kvec is not None and len(kvec) != q:
+        raise BadDimensions(f"kvec needs {q} entries, one per column "
+                            f"outside sigma={sigma}, got {len(kvec)}")
+    if any(x == 0 for x in z):
+        raise BadDimensions("z lies in (C*)^N: no entry may be zero")
+    if not is_very_generic(simplex, delta):
         raise NonGenericParameter(
             f"delta={delta} hits an integer entry for sigma={sigma}")
     z = np.asarray([complex(x) for x in z])
@@ -112,10 +99,9 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
     log_prefactor = sign * complex(u0 @ logz_sigma)
 
     if dual:
-        # positions of sigma^(0) inside sigma, and of sigma_bar cap I_0
-        idx0 = [p for p, j in enumerate(sigma) if j in cfg.blocks[0]]
+        # positions of sigma_bar cap I_0 inside sigma_bar
         bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-        srow = C[idx0, :].sum(axis=0) if idx0 else np.zeros(q)
+        srow = C[simplex.pos0, :].sum(axis=0)
 
     total = 0j
     comp = 0j     # Kahan compensation across shells
@@ -160,23 +146,21 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual, genericity_bound):
                        exponent=prefactor_exponent, series_abs=abs(total))
 
 
-def gamma_series(cfg, sigma, kvec, z, delta, M, genericity_bound=2):
+def gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi_{sigma,k}(z; delta) truncated at graded degree M."""
-    simplex = _as_simplex(cfg, sigma)
-    return _sum_series(cfg, simplex, kvec, z, delta, M, dual=False,
-                       genericity_bound=genericity_bound)
+    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, delta, M,
+                       dual=False)
 
 
-def dual_gamma_series(cfg, sigma, kvec, z, delta, M, genericity_bound=2):
+def dual_gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi^vee_{sigma,k}(z; delta) truncated at graded degree M."""
-    simplex = _as_simplex(cfg, sigma)
-    return _sum_series(cfg, simplex, kvec, z, delta, M, dual=True,
-                       genericity_bound=genericity_bound)
+    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, delta, M,
+                       dual=True)
 
 
-def sample_point_in_UT(cfg, tri, t=5.0, ratio_bound=0.1):
+def sample_point_in_UT(cfg, tri, t=5.0):
     """z_j = exp(-t * omega_j / max|omega|) for the triangulation's lifting;
-    verifies that every series ratio magnitude is below ratio_bound."""
+    verifies that every series ratio magnitude is below 0.1."""
     omega = tri.omega
     if not omega:
         raise ScaleTooSmall("triangulation carries no lifting vector")
@@ -184,11 +168,10 @@ def sample_point_in_UT(cfg, tri, t=5.0, ratio_bound=0.1):
     z = [math.exp(-t * w / scale) for w in omega]
     logz = [math.log(x) for x in z]
     for s in tri.simplices:
-        sigma_bar, _, C, _ = _series_data(cfg, s)
-        for p, j in enumerate(sigma_bar):
-            lr = logz[j - 1] - sum(C[i][p] * logz[s.indices[i] - 1]
+        for p, j in enumerate(s.bar):
+            lr = logz[j - 1] - sum(s.C_float[i][p] * logz[s.indices[i] - 1]
                                    for i in range(cfg.d))
-            if math.exp(lr) >= ratio_bound:
+            if math.exp(lr) >= 0.1:
                 raise ScaleTooSmall(
                     f"ratio {math.exp(lr):.3g} at sigma={s.indices}, j={j}; "
                     f"increase t")
@@ -208,12 +191,9 @@ def sgn_A_sigma(cfg, sigma):
     return -1 if expo % 2 else 1
 
 
-def _sigma0_rowsum(cfg, simplex):
+def _sigma0_rowsum(simplex):
     """sum_{i in sigma^(0)} e_i^T A_sigma^{-1} as a float row vector."""
-    idx0 = [p for p, j in enumerate(simplex.indices) if j in cfg.blocks[0]]
-    if not idx0:
-        return np.zeros(cfg.d)
-    return simplex.inv_float[idx0, :].sum(axis=0)
+    return simplex.inv_float[simplex.pos0, :].sum(axis=0)
 
 
 def epsilon_sigma(cfg, sigma, delta, kvec=None):
@@ -222,12 +202,11 @@ def epsilon_sigma(cfg, sigma, delta, kvec=None):
     simplex = _as_simplex(cfg, sigma)
     if len(simplex.blocks[0]) <= 1:
         return 1.0 + 0j
-    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
     dvec = np.asarray([complex(x) for x in delta])
     if kvec is not None and any(kvec):
-        Abar = np.array(cfg.submatrix(sigma_bar), dtype=float)
+        Abar = np.array(cfg.submatrix(simplex.bar), dtype=float)
         dvec = dvec + Abar @ np.asarray(kvec, dtype=float)
-    row = _sigma0_rowsum(cfg, simplex)
+    row = _sigma0_rowsum(simplex)
     return 1.0 - cmath.exp(-2j * math.pi * complex(row @ dvec))
 
 
@@ -253,33 +232,29 @@ def _scalar_prefactor(cfg, simplex, delta, dual):
             if single:
                 den *= (1 - cmath.exp(-2j * math.pi * g))
     if dual:
-        row = _sigma0_rowsum(cfg, simplex)
+        row = _sigma0_rowsum(simplex)
         dvec = np.asarray([complex(x) for x in delta])
         num *= cmath.exp(-1j * math.pi * complex(row @ dvec))
     return num / den
 
 
-def transformation_matrix(cfg, sigma, delta, genericity_bound=2):
+def transformation_matrix(cfg, sigma, delta):
     """The r x r matrix T_sigma relating the cycle values f_{sigma,k~} to
     the Gamma-series phi_{sigma,k}."""
-    return _transformation(cfg, sigma, delta, dual=False,
-                           genericity_bound=genericity_bound)
+    return _transformation(cfg, sigma, delta, dual=False)
 
 
-def transformation_matrix_dual(cfg, sigma, delta, genericity_bound=2):
-    return _transformation(cfg, sigma, delta, dual=True,
-                           genericity_bound=genericity_bound)
+def transformation_matrix_dual(cfg, sigma, delta):
+    return _transformation(cfg, sigma, delta, dual=True)
 
 
-def _transformation(cfg, sigma, delta, dual, genericity_bound):
+def _transformation(cfg, sigma, delta, dual):
     simplex = _as_simplex(cfg, sigma)
-    if genericity_bound and not is_very_generic(cfg, simplex.indices, delta,
-                                                bound=genericity_bound):
+    if not is_very_generic(simplex, delta):
         raise NonGenericParameter(
             f"delta={delta} is not very generic for sigma={simplex.indices}")
-    r = abs(simplex.det)
-    _, C_fr, C, _ = _series_data(cfg, simplex)
-    kreps = intlinalg.coset_representatives(C_fr, r)
+    r, C = simplex.r, simplex.C_float
+    kreps = intlinalg.coset_representatives(simplex.C, r)
     ktreps = intlinalg.coset_representatives(
         [list(col) for col in zip(*simplex.inv)], r)
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])

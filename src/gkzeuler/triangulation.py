@@ -27,6 +27,8 @@ class Simplex:
     det: int                # det A_sigma
     inv: tuple              # A_sigma^{-1}, tuple of tuples of Fractions
     blocks: tuple           # sigma^(0), ..., sigma^(k)
+    bar: tuple              # sigma-bar: the 1-based columns outside sigma
+    C: tuple                # A_sigma^{-1} A_sigma-bar, d x |bar| Fractions
 
     @property
     def r(self):
@@ -37,6 +39,22 @@ class Simplex:
         """A_sigma^{-1} as a float array, the numeric view every series and
         weight evaluation reads."""
         return np.array([[float(x) for x in row] for row in self.inv])
+
+    @cached_property
+    def C_float(self):
+        """C as a float array of shape (d, |bar|)."""
+        return np.array([[float(x) for x in row] for row in self.C])
+
+    @cached_property
+    def C_int(self):
+        """The integer matrix r * C, for the exact congruence mod r."""
+        return np.array([[int(x * self.r) for x in row] for row in self.C],
+                        dtype=object)
+
+    @cached_property
+    def pos0(self):
+        """Positions of sigma^(0) inside sigma."""
+        return [p for p, j in enumerate(self.indices) if j in self.blocks[0]]
 
 
 @dataclass(frozen=True)
@@ -52,8 +70,11 @@ class Triangulation:
 
 def _simplex(cfg, indices, inv, det):
     blocks = tuple(tuple(j for j in indices if j in blk) for blk in cfg.blocks)
+    bar = tuple(j for j in range(1, cfg.N + 1) if j not in indices)
+    C = intlinalg.mat_mul(inv, cfg.submatrix(bar))
     return Simplex(indices=indices, det=det,
-                   inv=tuple(tuple(row) for row in inv), blocks=blocks)
+                   inv=tuple(tuple(row) for row in inv), blocks=blocks,
+                   bar=bar, C=tuple(tuple(row) for row in C))
 
 
 def make_simplex(cfg, indices):
@@ -98,20 +119,19 @@ def _triangulate_raw(cfg, omega):
     return out
 
 
-def _ray_test(cfg, simplices, rays, rng):
-    """Each of `rays` random rational rays strictly inside cone(A) must lie
-    in exactly one simplicial cone."""
-    d, N = cfg.d, cfg.N
+def _ray_test(cfg, simplices, rng):
+    """Each of 200 random rational rays strictly inside cone(A) must lie in
+    exactly one simplicial cone."""
+    N = cfg.N
     A = [[Fraction(x) for x in row] for row in cfg.matrix]
-    inv_cache = {s.indices: s.inv for s in simplices}
     done = 0
-    while done < rays:
+    while done < 200:
         lam = [Fraction(rng.randint(1, 1000), rng.randint(1, 7)) for _ in range(N)]
         ray = intlinalg.mat_vec(A, lam)
         hits = 0
         boundary = False
         for s in simplices:
-            x = intlinalg.mat_vec([list(r) for r in inv_cache[s.indices]], ray)
+            x = intlinalg.mat_vec(s.inv, ray)
             if any(v == 0 for v in x):
                 boundary = True
                 break
@@ -125,30 +145,14 @@ def _ray_test(cfg, simplices, rays, rng):
     return True
 
 
-def _rank_fraction(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c] / m[rank][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def is_homogeneous(cfg):
     """True when the all-ones vector lies in the rational row span of the
     configuration matrix, i.e. all columns lie on a common affine
     hyperplane.  The sum of simplex volumes is a triangulation invariant
     only in this case."""
     rows = [list(r) for r in cfg.matrix]
-    return _rank_fraction(rows) == _rank_fraction(rows + [[1] * cfg.N])
+    return len(intlinalg.snf_divisors(rows)) \
+        == len(intlinalg.snf_divisors(rows + [[1] * cfg.N]))
 
 
 _volume_cache = {}
@@ -168,32 +172,24 @@ def normalized_volume(cfg):
             simplices = _triangulate_raw(cfg, omega)
         except DegenerateLifting:
             continue
-        if simplices and _ray_test(cfg, simplices, 200, rng):
+        if simplices and _ray_test(cfg, simplices, rng):
             vol = sum(s.r for s in simplices)
             _volume_cache[key] = vol
             return vol
     raise ExhaustedRetries("could not build a reference triangulation")
 
 
-def is_convergent(cfg, simplices):
+def is_convergent(simplices):
     """Exact check: for every sigma and j outside it, the entry sum of
-    A_sigma^{-1} a(j) is <= 1."""
-    for s in simplices:
-        for j in range(1, cfg.N + 1):
-            if j in s.indices:
-                continue
-            col = cfg.column(j)
-            x = intlinalg.mat_vec([list(r) for r in s.inv], col)
-            if sum(x) > 1:
-                return False
-    return True
+    A_sigma^{-1} a(j), a column of C, is <= 1."""
+    return all(sum(col) <= 1 for s in simplices for col in zip(*s.C))
 
 
 def is_unimodular(simplices):
     return all(s.r == 1 for s in simplices)
 
 
-def _validate(cfg, simplices, rays, seed):
+def _validate(cfg, simplices, seed):
     """Raise NotATriangulation unless the simplices pass the volume sum (for
     a homogeneous configuration) and the random-ray multiplicity test."""
     if is_homogeneous(cfg):
@@ -202,52 +198,52 @@ def _validate(cfg, simplices, rays, seed):
             raise NotATriangulation(
                 f"volume sum {vol} != normalized volume "
                 f"{normalized_volume(cfg)}")
-    if not _ray_test(cfg, simplices, rays, random.Random(seed)):
+    if not _ray_test(cfg, simplices, random.Random(seed)):
         raise NotATriangulation("random-ray multiplicity test failed")
 
 
-def _triangulation(cfg, simplices, omega):
+def _triangulation(simplices, omega):
     return Triangulation(simplices=tuple(simplices), omega=tuple(omega),
-                         convergent=is_convergent(cfg, simplices),
+                         convergent=is_convergent(simplices),
                          unimodular=is_unimodular(simplices))
 
 
-def triangulate(cfg, omega, validate=True, rays=200, seed=0):
-    """Regular triangulation T(omega); validated unless validate=False."""
+def triangulate(cfg, omega, seed=0):
+    """Regular triangulation T(omega), validated."""
     simplices = _triangulate_raw(cfg, omega)
     simplices.sort(key=lambda s: s.indices)
-    if validate:
-        _validate(cfg, simplices, rays, seed)
-    return _triangulation(cfg, simplices, omega)
+    _validate(cfg, simplices, seed)
+    return _triangulation(simplices, omega)
 
 
-def triangulation_from_simplices(cfg, index_sets, validate=True, seed=0):
+def triangulation_from_simplices(cfg, index_sets, seed=0):
     """Build a Triangulation from explicit index sets (e.g. a staircase
     triangulation known in closed form); validated like triangulate."""
     simplices = sorted((make_simplex(cfg, s) for s in index_sets),
                        key=lambda s: s.indices)
-    if validate:
-        _validate(cfg, simplices, 200, seed)
-    return _triangulation(cfg, simplices, ())
+    _validate(cfg, simplices, seed)
+    return _triangulation(simplices, ())
 
 
-def sample_interior_lifting(cfg, seed=0, tries=1000, span=10 ** 6):
+def sample_interior_lifting(cfg, seed=0):
     """A random integer lifting for which triangulate succeeds without
     degeneracy."""
     rng = random.Random(seed)
-    for _ in range(tries):
-        omega = [rng.randint(-span, span) for _ in range(cfg.N)]
+    for _ in range(1000):
+        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
         try:
             _triangulate_raw(cfg, omega)
         except DegenerateLifting:
             continue
         return omega
-    raise ExhaustedRetries(f"no generic lifting found in {tries} tries")
+    raise ExhaustedRetries("no generic lifting found in 1000 tries")
 
 
 def enumerate_regular_triangulations(cfg, samples=500, seed=0):
     """Sampling-based scan of the secondary fan: deduplicated set of T(omega)
     over random liftings.  Not guaranteed exhaustive."""
+    if samples < 1:
+        raise BadDimensions(f"need at least 1 sample, got {samples}")
     rng = random.Random(seed)
     seen = {}
     for _ in range(samples):
@@ -337,7 +333,7 @@ def ladder_to_simplex(ladder, cfg):
     return tuple(sorted(pos[c] for c in cells))
 
 
-def staircase_triangulation(cfg, k, n, confluent=False, validate=True):
+def staircase_triangulation(cfg, k, n, confluent=False):
     """The staircase triangulation of an Aomoto-Gelfand (or confluent)
     configuration, as explicit ladder simplices."""
     ladders = enumerate_ladders(k, n)
@@ -346,4 +342,4 @@ def staircase_triangulation(cfg, k, n, confluent=False, validate=True):
                 for lad in ladders]
     else:
         sets = [ladder_to_simplex(lad, cfg) for lad in ladders]
-    return triangulation_from_simplices(cfg, sets, validate=validate)
+    return triangulation_from_simplices(cfg, sets)

@@ -116,6 +116,41 @@ def test_series_bad_sigma(capsys, sigma):
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
 
 
+@pytest.mark.parametrize("argv", [
+    # z lives in (C*)^N
+    "series --config gauss --sigma 1,2,3 --delta 0.3,0.2,0.6 "
+    "--z 0,1,1,0.1 --order 4",
+    # kvec needs one entry per column outside sigma
+    "series --config g1 --sigma 2,3,4 --delta 0.3,0.2,0.6 --z 1,1,1,1,0.1 "
+    "--order 8 --kvec 1",
+    "series --config g1 --sigma 2,3,4 --delta 0.3,0.2,0.6 --z 1,1,1,1,0.1 "
+    "--order 8 --kvec 1,2,3",
+    "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613 "
+    "--z 1,1,1,0.05 --order -1",
+    "verify --case gauss --order -3",
+    "fan-scan --config g1 --samples -2",
+    "fan-scan --config g1 --samples 0",
+    # ctilde needs n+1 entries, or n with --confluent
+    "ladders --k 2 --n 5 --ctilde=1,2",
+    "ladders --k 2 --n 5 --ctilde=1,2,3,4,5,6,7,8",
+    "ladders --k 2 --n 5 --confluent --ctilde=1,2,3,4,5,6,7",
+])
+def test_bad_input_exits_two(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
+
+
+def test_series_kvec_of_right_length(capsys):
+    code, out = _run(capsys, ["series", "--config", "g1", "--sigma", "2,3,4",
+                              "--kvec", "1,0", "--delta", "0.3,0.2,0.6",
+                              "--z", "1,1,1,1,0.1", "--order", "8"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["sigma"] == [2, 3, 4]
+
+
 def test_series_non_generic_parameter(capsys):
     code, _ = _run(capsys, ["series", "--config", "gauss",
                             "--sigma", "1,2,3", "--delta", "1,2,3",

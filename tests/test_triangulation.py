@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkzeuler import cli, config, intersection, triangulation
+from gkzeuler import cli, config, intersection, intlinalg, triangulation
 from gkzeuler.errors import BadDimensions, DegenerateLifting, NotATriangulation
 
 
@@ -244,3 +244,37 @@ def test_triangulation_to_json_shape():
     assert doc["omega"] == [7, 1, 2, 5]
     assert all(isinstance(s, list) for s in doc["simplices"])
     assert {"convergent", "unimodular"} <= set(doc)
+
+
+def _registry_triangulation(name):
+    cfg = config.get_config(name)
+    if name in ("gauss", "e36", "kummer", "e36c"):
+        k, n = (1, 3) if name in ("gauss", "kummer") else (2, 5)
+        return cfg, triangulation.staircase_triangulation(
+            cfg, k, n, confluent=name in ("kummer", "e36c"))
+    tris = triangulation.enumerate_regular_triangulations(cfg, samples=4,
+                                                          seed=0)
+    assert tris, name
+    return cfg, tris[0]
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_simplex_view_matches_exact_products(name):
+    cfg, tri = _registry_triangulation(name)
+    convergent = True
+    for s in tri.simplices:
+        sigma_bar = tuple(j for j in range(1, cfg.N + 1) if j not in s.indices)
+        C = intlinalg.mat_mul([list(r) for r in s.inv],
+                              cfg.submatrix(sigma_bar))
+        assert s.bar == sigma_bar
+        assert [list(row) for row in s.C] == C
+        assert all((x * s.det).denominator == 1 for row in C for x in row)
+        assert s.C_int.tolist() == [[int(x * s.r) for x in row] for row in C]
+        assert s.C_float.shape == (cfg.d, len(sigma_bar))
+        assert s.C_float.tolist() == [[float(x) for x in row] for row in C]
+        assert [s.indices[p] for p in s.pos0] == list(s.blocks[0])
+        convergent = convergent and all(
+            sum(intlinalg.mat_vec([list(r) for r in s.inv],
+                                  [row[j - 1] for row in cfg.matrix])) <= 1
+            for j in sigma_bar)
+    assert tri.convergent == convergent
