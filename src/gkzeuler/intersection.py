@@ -373,11 +373,8 @@ def _case_e36c(rng):
     cfg = get_config("e36c")
     c1, c2, c3, c4 = _small_params(rng, 4, 0.12, 0.88)
     delta = (c3, c4, c1, c2)
-    z1, z2, z3, z4 = [_uniform(rng, 0.04, 0.06) for _ in range(4)]
-    zmap = {(0, 3): 1.0, (0, 4): 1.0,
-            (1, 3): 1.0, (1, 4): z1, (1, 5): z1 * z2,
-            (2, 3): 1.0, (2, 4): z1 * z3, (2, 5): z1 * z2 * z3 * z4}
-    z = tuple(zmap[p] for p in cfg.pairs)
+    xi = [[_uniform(rng, 0.04, 0.06) for _ in range(2)] for _ in range(2)]
+    z = _ag_grid_z(cfg, xi)
     tri = staircase_triangulation(cfg, 2, 5, confluent=True)
     return dict(cfg=cfg, tri=tri, delta=delta, twist=zero_twist(cfg),
                 z=z, rhs=1.0 / (c1 * c2), order=24, tol=1e-8)
@@ -404,7 +401,8 @@ def _case_ag(rng, k=1, n=4):
                 z=z, rhs=rhs, order=30, tol=1e-8)
 
 
-def _case_confluent(rng, k=1, n=4):
+def _case_confluent(rng):
+    k, n = 1, 4
     cfg = confluent_config(k, n)
     ctail = _small_params(rng, n - 1, 0.12, 0.88)
     c = ctail[:k]
@@ -412,14 +410,7 @@ def _case_confluent(rng, k=1, n=4):
     delta = tuple(gam) + tuple(c)
     xi = [[_uniform(rng, 0.04, 0.08) for _ in range(n - k - 1)]
           for _ in range(k)]
-    zmap = {}
-    for (i, j) in cfg.pairs:
-        val = 1.0
-        for p in range(1, i + 1):
-            for q in range(1, j - k):
-                val *= xi[p - 1][q - 1]
-        zmap[(i, j)] = val
-    z = tuple(zmap[p] for p in cfg.pairs)
+    z = _ag_grid_z(cfg, xi)
     den = 1.0
     for x in c:
         den *= x
@@ -444,13 +435,13 @@ def case_names():
     return sorted(CASES)
 
 
-def verify_case(name, seed=0, order=None, **kwargs):
+def verify_case(name, seed=0, order=None):
     """Draw generic parameters, evaluate both sides of the quadratic
     relation of the named case, and report the residual."""
     if name not in CASES:
         raise KeyError(f"unknown case {name!r}; choices: {case_names()}")
     rng = np.random.default_rng(seed)
-    data = CASES[name](rng, **kwargs)
+    data = CASES[name](rng)
     M = order if order is not None else data["order"]
     t0 = time.perf_counter()
     lhs = quadratic_lhs(data["cfg"], data["tri"], data["delta"],

@@ -56,19 +56,13 @@ def lattice_shells(cfg, sigma, kvec, M):
     """
     simplex = _as_simplex(cfg, sigma)
     q, r, C_int = len(simplex.bar), simplex.r, simplex.C_int
-    kvec = list(kvec) if kvec is not None else [0] * q
+    kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
     for deg in range(M + 1):
         rows = list(intlinalg.graded_lex_vectors(q, deg))
+        W = np.array(rows, dtype=np.int64).reshape(len(rows), q)
         if r > 1:
-            keep = []
-            for w in rows:
-                m = [wi - ki for wi, ki in zip(w, kvec)]
-                v = [sum(C_int[i][j] * m[j] for j in range(q)) % r
-                     for i in range(cfg.d)]
-                if all(x == 0 for x in v):
-                    keep.append(w)
-            rows = keep
-        yield deg, np.array(rows, dtype=np.int64).reshape(len(rows), q)
+            W = W[((W - kvec) @ C_int.T % r == 0).all(axis=1)]
+        yield deg, W
 
 
 def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
@@ -81,6 +75,8 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
                             f"outside sigma={sigma}, got {len(kvec)}")
     if any(x == 0 for x in z):
         raise BadDimensions("z lies in (C*)^N: no entry may be zero")
+    if not all(cmath.isfinite(x) for x in (*z, *delta)):
+        raise BadDimensions("z and delta need finite entries")
     if not is_very_generic(simplex, delta):
         raise NonGenericParameter(
             f"delta={delta} hits an integer entry for sigma={sigma}")

@@ -10,7 +10,6 @@ test; failures raise NotATriangulation instead of proceeding silently.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -68,7 +67,15 @@ class Triangulation:
         return frozenset(s.indices for s in self.simplices)
 
 
-def _simplex(cfg, indices, inv, det):
+def make_simplex(cfg, indices):
+    """The simplex on d distinct 1-based column indices of cfg, with its
+    derived view filled in; raises SingularMatrix when det A_sigma = 0."""
+    indices = tuple(sorted(indices))
+    if len(indices) != cfg.d or len(set(indices)) != cfg.d \
+            or not all(1 <= j <= cfg.N for j in indices):
+        raise BadDimensions(f"a simplex needs {cfg.d} distinct column "
+                            f"indices in 1..{cfg.N}, got {indices}")
+    inv, det = intlinalg.rat_inverse(cfg.submatrix(indices))
     blocks = tuple(tuple(j for j in indices if j in blk) for blk in cfg.blocks)
     bar = tuple(j for j in range(1, cfg.N + 1) if j not in indices)
     C = intlinalg.mat_mul(inv, cfg.submatrix(bar))
@@ -77,65 +84,49 @@ def _simplex(cfg, indices, inv, det):
                    bar=bar, C=tuple(tuple(row) for row in C))
 
 
-def make_simplex(cfg, indices):
-    """The simplex on d distinct 1-based column indices of cfg."""
-    indices = tuple(sorted(indices))
-    if len(indices) != cfg.d or len(set(indices)) != cfg.d \
-            or not all(1 <= j <= cfg.N for j in indices):
-        raise BadDimensions(f"a simplex needs {cfg.d} distinct column "
-                            f"indices in 1..{cfg.N}, got {indices}")
-    inv, det = intlinalg.rat_inverse(cfg.submatrix(indices))
-    return _simplex(cfg, indices, inv, det)
-
-
 def _triangulate_raw(cfg, omega):
-    """Simplices of T(omega) without validation."""
-    d, N = cfg.d, cfg.N
-    if len(omega) != N:
-        raise BadDimensions(f"omega length {len(omega)} != {N}")
-    omega = [Fraction(w) for w in omega]
+    """Simplices of T(omega) without validation.  sigma is a cell iff
+    omega_sigma C < omega_j for every column j outside sigma; both sides are
+    scaled by r so the test reads the integers C_int.  omega holds ints or
+    Fractions."""
+    if len(omega) != cfg.N:
+        raise BadDimensions(f"omega length {len(omega)} != {cfg.N}")
     out = []
-    for sigma in combinations(range(1, N + 1), d):
+    for sigma in combinations(range(1, cfg.N + 1), cfg.d):
         try:
-            inv, det = intlinalg.rat_inverse(cfg.submatrix(sigma))
+            s = make_simplex(cfg, sigma)
         except SingularMatrix:
             continue
-        # row vector m = omega_sigma * A_sigma^{-1}
-        w_sigma = [omega[j - 1] for j in sigma]
-        m = [sum(w_sigma[i] * inv[i][c] for i in range(d)) for c in range(d)]
-        ok = True
-        for j in range(1, N + 1):
-            if j in sigma:
-                continue
-            val = sum(m[r] * cfg.matrix[r][j - 1] for r in range(d))
-            if val == omega[j - 1]:
+        w_sigma = np.array([omega[i - 1] for i in sigma], dtype=object)
+        for v, j in zip(w_sigma @ s.C_int, s.bar):
+            if v == s.r * omega[j - 1]:
                 raise DegenerateLifting(
                     f"lifting is non-generic: equality at sigma={sigma}, j={j}")
-            if val > omega[j - 1]:
-                ok = False
+            if v > s.r * omega[j - 1]:
                 break
-        if ok:
-            out.append(_simplex(cfg, sigma, inv, det))
+        else:
+            out.append(s)
     return out
 
 
 def _ray_test(cfg, simplices, rng):
-    """Each of 200 random rational rays strictly inside cone(A) must lie in
-    exactly one simplicial cone."""
-    N = cfg.N
-    A = [[Fraction(x) for x in row] for row in cfg.matrix]
+    """Each of 200 random rays A lambda, lambda > 0, must lie strictly inside
+    exactly one simplicial cone.  In cone(A_sigma) the ray has coordinates
+    lambda_sigma + C lambda_sigma-bar; r times them are integers."""
     done = 0
     while done < 200:
-        lam = [Fraction(rng.randint(1, 1000), rng.randint(1, 7)) for _ in range(N)]
-        ray = intlinalg.mat_vec(A, lam)
+        # lambda_j = p / q with q <= 7, scaled by 420 = lcm(1..7)
+        lam = [rng.randint(1, 1000) * (420 // rng.randint(1, 7))
+               for _ in range(cfg.N)]
         hits = 0
         boundary = False
         for s in simplices:
-            x = intlinalg.mat_vec(s.inv, ray)
-            if any(v == 0 for v in x):
+            lam_bar = np.array([lam[j - 1] for j in s.bar], dtype=object)
+            x = s.C_int @ lam_bar + [s.r * lam[j - 1] for j in s.indices]
+            if (x == 0).any():
                 boundary = True
                 break
-            if all(v > 0 for v in x):
+            if (x > 0).all():
                 hits += 1
         if boundary:
             continue
@@ -181,8 +172,8 @@ def normalized_volume(cfg):
 
 def is_convergent(simplices):
     """Exact check: for every sigma and j outside it, the entry sum of
-    A_sigma^{-1} a(j), a column of C, is <= 1."""
-    return all(sum(col) <= 1 for s in simplices for col in zip(*s.C))
+    A_sigma^{-1} a(j), a column of C, is <= 1, i.e. that of C_int is <= r."""
+    return all((s.C_int.sum(axis=0) <= s.r).all() for s in simplices)
 
 
 def is_unimodular(simplices):

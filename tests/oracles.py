@@ -1,12 +1,15 @@
 """Independent reference implementations that only the tests use: the
 classical quadratic relations of the Gauss and Kummer series by direct
-truncated summation, a cofactor-expansion determinant, and the Pochhammer
-reflection identity."""
+truncated summation, a cofactor-expansion determinant, the Pochhammer
+reflection identity, and the lifting criterion in Fraction arithmetic."""
 
 import cmath
 import math
+from fractions import Fraction
+from itertools import combinations
 
-from gkzeuler import specfun
+from gkzeuler import intlinalg, specfun
+from gkzeuler.errors import DegenerateLifting, SingularMatrix
 
 
 def _hyp2f1(a, b, c, w, M):
@@ -77,3 +80,29 @@ def pochhammer_reflection_check(gamma_val, m):
            / (specfun.gamma(g) * specfun.gamma(1 - g - m)
               * (1 - cmath.exp(-2j * math.pi * g))))
     return abs(lhs - rhs)
+
+
+def regular_cells(cfg, omega):
+    """Index sets of the cells of T(omega): sigma is a cell iff the row
+    m = omega_sigma A_sigma^{-1} gives m a(j) < omega_j for every column
+    a(j) outside sigma.  Raises DegenerateLifting at the first equality met,
+    scanning sigma in lex order and j outside it in ascending order."""
+    omega = [Fraction(w) for w in omega]
+    cells = set()
+    for sigma in combinations(range(1, cfg.N + 1), cfg.d):
+        try:
+            inv, _ = intlinalg.rat_inverse(cfg.submatrix(sigma))
+        except SingularMatrix:
+            continue
+        m = intlinalg.mat_vec(list(zip(*inv)), [omega[i - 1] for i in sigma])
+        for j in range(1, cfg.N + 1):
+            if j in sigma:
+                continue
+            val = sum(m[r] * cfg.matrix[r][j - 1] for r in range(cfg.d))
+            if val == omega[j - 1]:
+                raise DegenerateLifting(f"equality at sigma={sigma}, j={j}")
+            if val > omega[j - 1]:
+                break
+        else:
+            cells.add(sigma)
+    return frozenset(cells)

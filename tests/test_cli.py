@@ -117,9 +117,15 @@ def test_series_bad_sigma(capsys, sigma):
 
 
 @pytest.mark.parametrize("argv", [
-    # z lives in (C*)^N
+    # z lives in (C*)^N, and z and delta are finite
     "series --config gauss --sigma 1,2,3 --delta 0.3,0.2,0.6 "
     "--z 0,1,1,0.1 --order 4",
+    "series --config gauss --sigma 1,2,3 --delta 0.3,0.2,0.6 "
+    "--z nan,1,1,0.1 --order 4",
+    "series --config gauss --sigma 1,2,3 --delta 0.3,0.2,0.6 "
+    "--z inf,1,1,0.1 --order 4",
+    "series --config gauss --sigma 1,2,3 --delta nan,0.2,0.6 "
+    "--z 1,1,1,0.1 --order 4",
     # kvec needs one entry per column outside sigma
     "series --config g1 --sigma 2,3,4 --delta 0.3,0.2,0.6 --z 1,1,1,1,0.1 "
     "--order 8 --kvec 1",

@@ -9,6 +9,7 @@ import pytest
 
 from gkzeuler import cli, config, intersection, intlinalg, triangulation
 from gkzeuler.errors import BadDimensions, DegenerateLifting, NotATriangulation
+from oracles import regular_cells
 
 
 def _sets(tri):
@@ -63,6 +64,57 @@ def test_triangulation_from_simplices_rejects_overlap():
     with pytest.raises(NotATriangulation):
         triangulation.triangulation_from_simplices(
             cfg, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+
+
+def _confluent_staircase_gap():
+    cfg = config.get_config("e36c")
+    tri = triangulation.staircase_triangulation(cfg, 2, 5, confluent=True)
+    return [s.indices for s in tri.simplices[1:]]
+
+
+@pytest.mark.parametrize("name,index_sets", [
+    # every nonsingular subset: the cones overlap
+    ("gamma2", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    ("kummer", [(1, 2), (1, 3), (2, 3)]),
+    # the staircase without its first simplex leaves a gap
+    ("e36c", None),
+])
+def test_ray_test_rejects_overlaps_and_gaps(name, index_sets):
+    # non-homogeneous configurations skip the volume sum, so the random-ray
+    # multiplicity test is the one that must reject these
+    cfg = config.get_config(name)
+    assert not triangulation.is_homogeneous(cfg)
+    with pytest.raises(NotATriangulation, match="random-ray"):
+        triangulation.triangulation_from_simplices(
+            cfg, index_sets or _confluent_staircase_gap())
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_lifting_test_matches_fraction_oracle(name):
+    # small integer and rational liftings hit both generic and degenerate
+    # liftings; the integer test on C_int must agree with the Fraction
+    # lifting criterion on the cells and on where it raises
+    cfg = config.get_config(name)
+    rng = random.Random(sum(map(ord, name)))
+    outcomes = set()
+    for trial in range(18):
+        if trial % 3 == 2:
+            omega = [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                     for _ in range(cfg.N)]
+        else:
+            span = 1 + 3 * (trial % 3)
+            omega = [rng.randint(-span, span) for _ in range(cfg.N)]
+        try:
+            want = regular_cells(cfg, omega)
+        except DegenerateLifting:
+            with pytest.raises(DegenerateLifting):
+                triangulation._triangulate_raw(cfg, omega)
+            outcomes.add("degenerate")
+            continue
+        got = triangulation._triangulate_raw(cfg, omega)
+        assert frozenset(s.indices for s in got) == want, omega
+        outcomes.add("cells")
+    assert outcomes == {"cells", "degenerate"}
 
 
 def test_degenerate_lifting_raises():
