@@ -167,11 +167,8 @@ def is_very_generic(simplex, delta, bound=2):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
     within 1e-9 of an integer for all m >= 0 with |m| <= bound."""
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    q = len(simplex.bar)
-    for deg in range(bound + 1):
-        W = np.array(list(intlinalg.graded_lex_vectors(q, deg)),
-                     dtype=float).reshape(-1, q)
-        ent = u0[None, :] + W @ simplex.C_float.T
+    for _, W in intlinalg.graded_lex_shells(len(simplex.bar), bound):
+        ent = u0[None, :] + W.astype(float) @ simplex.C_float.T
         near = (np.abs(ent.real - np.round(ent.real)) < 1e-9) \
             & (np.abs(ent.imag) < 1e-9)
         if np.any(near):

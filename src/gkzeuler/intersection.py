@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateParameter, NotConvergent, NotUnimodular,
-                     ZeroDenominator)
+from .errors import (DegenerateParameter, DivergentTail, NotConvergent,
+                     NotUnimodular, ZeroDenominator)
 from .config import aomoto_gelfand_config, confluent_config, get_config
 from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
@@ -228,6 +228,8 @@ def _relation_sum(cfg, tri, delta, twist, z, M, weight):
         w = weight(s)
         f = gamma_series(cfg, s, None, z, dplus, M)
         fd = dual_gamma_series(cfg, s, None, z, dminus, M)
+        if not (f.trusted and fd.trusted):
+            raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
         total += w * f.value * fd.value
     return total
 

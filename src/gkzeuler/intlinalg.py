@@ -7,6 +7,8 @@ no intermediate swell can overflow.
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ExhaustedRetries, SingularMatrix
 
 
@@ -179,20 +181,34 @@ def rat_inverse(M):
     return inv, det
 
 
+def graded_lex_shells(q, M):
+    """Yields (deg, W) for deg = 0..M: the rows of the int64 array W are the
+    nonnegative vectors of length q and degree deg, in decreasing lex order.
+    Those of length k and degree deg are (deg - e, v), v of length k - 1 and
+    degree e = 0..deg; length q is built one degree at a time."""
+    if M < 0:
+        return
+    rows = np.zeros((1, 0), dtype=np.int64)   # length 0: (), of degree 0
+    degree = np.zeros(1, dtype=np.int64)      # the degree of each row
+    for k in range(q):
+        ends = np.searchsorted(degree, np.arange(M + 1), side="right")
+        shells = (np.column_stack((deg - degree[:n], rows[:n]))
+                  for deg, n in enumerate(ends))
+        if k == q - 1:
+            yield from enumerate(shells)
+            return
+        shells = list(shells)
+        rows = np.concatenate(shells)
+        degree = np.repeat(np.arange(M + 1), [len(W) for W in shells])
+    for deg in range(M + 1):
+        yield deg, rows[:int(deg == 0)]
+
+
 def graded_lex_vectors(dim, degree):
-    """All nonnegative integer vectors of the given length and exact degree,
-    in lexicographic order (the graded order is obtained by iterating over
-    degrees in increasing order)."""
-    if dim == 0:
-        if degree == 0:
-            yield ()
-        return
-    if dim == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in graded_lex_vectors(dim - 1, degree - first):
-            yield (first,) + rest
+    """The last shell of graded_lex_shells(dim, degree), as int tuples."""
+    for deg, W in graded_lex_shells(dim, degree):
+        if deg == degree:
+            yield from map(tuple, W.tolist())
 
 
 def coset_representatives(M, count):

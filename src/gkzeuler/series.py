@@ -2,10 +2,10 @@
 to a simplex, convergence-domain point sampling, and the simplex
 transformation matrices.
 
-Terms are summed shell by shell in graded-lex order of the exponent vector;
-each shell is evaluated in log-space (complex log-Gamma) and the shells are
-combined with compensated accumulation, so results are deterministic.  All
-complex powers use the principal logarithm.
+Terms are evaluated in log-space (complex log-Gamma, once per distinct
+argument) over blocks of consecutive shells of the graded-lex order, and
+summed shell by shell with compensated accumulation, so results are
+deterministic.  All complex powers use the principal logarithm.
 """
 
 import cmath
@@ -23,6 +23,7 @@ from .specfun import gamma
 from .triangulation import Simplex, make_simplex
 
 _POLE_TOL = 1e-12
+_BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,26 @@ def lattice_shells(cfg, sigma, kvec, M):
     simplex = _as_simplex(cfg, sigma)
     q, r, C_int = len(simplex.bar), simplex.r, simplex.C_int
     kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
-    for deg in range(M + 1):
-        rows = list(intlinalg.graded_lex_vectors(q, deg))
-        W = np.array(rows, dtype=np.int64).reshape(len(rows), q)
+    for deg, W in intlinalg.graded_lex_shells(q, M):
         if r > 1:
             W = W[((W - kvec) @ C_int.T % r == 0).all(axis=1)]
         yield deg, W
 
 
+def _blocks(shells):
+    """Consecutive shells in lists of at most _BLOCK_ROWS rows; a larger
+    shell forms a list alone."""
+    block = []
+    for _, W in shells:
+        if block and sum(map(len, block)) + len(W) > _BLOCK_ROWS:
+            yield block
+            block = []
+        block.append(W)
+    if block:
+        yield block
+
+
+@np.errstate(over="ignore", invalid="ignore")   # checked: value is finite
 def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
@@ -85,11 +98,8 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
     logz = np.log(z)
     u0 = (simplex.inv_float @ delta_c[:, None]).ravel()  # A_sigma^{-1} delta
     logz_sigma = np.array([logz[j - 1] for j in sigma])
-    if q:
-        logx = np.array([logz[j - 1] for j in sigma_bar]) \
-            - (C.T @ logz_sigma[:, None]).ravel()
-    else:
-        logx = np.zeros(0, dtype=complex)
+    logx = np.array([logz[j - 1] for j in sigma_bar]) \
+        - (C.T @ logz_sigma[:, None]).ravel()
     sign = -1.0 if not dual else 1.0
     prefactor_exponent = tuple(sign * u0)
     log_prefactor = sign * complex(u0 @ logz_sigma)
@@ -98,40 +108,50 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
         # positions of sigma_bar cap I_0 inside sigma_bar
         bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
         srow = C[simplex.pos0, :].sum(axis=0)
+    c = 1.0 + u0 if dual else 1.0 - u0
+    log_factorial = gammaln(np.arange(M + 1) + 1.0)
 
     total = 0j
     comp = 0j     # Kahan compensation across shells
     terms = 0
     shell_maxes = []
-    for deg, W in lattice_shells(cfg, simplex, kvec, M):
-        if len(W) == 0:
-            shell_maxes.append(0.0)
-            continue
+    for block in _blocks(lattice_shells(cfg, simplex, kvec, M)):
+        W = np.concatenate(block)
         Wf = W.astype(float)
-        if dual:
-            E = 1.0 + u0[None, :] - Wf @ C.T
-        else:
-            E = 1.0 - u0[None, :] - Wf @ C.T
-        logt = Wf @ logx - gammaln(Wf + 1.0).sum(axis=1)
-        logt = logt.astype(complex)
-        # Gamma factors; snap terms that land on a Gamma pole to zero
-        near = np.abs(E.real - np.rint(E.real)) <= _POLE_TOL
-        pole = near & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-        dead = pole.any(axis=1)
-        logt -= loggamma(np.where(pole, 1.0, E)).sum(axis=1)
+        WC = Wf @ C.T
+        logt = Wf @ logx - log_factorial[W].sum(axis=1)
+        # The Gamma arguments E = c - WC take one log-Gamma per distinct entry
+        # of a column of WC; terms that land on a Gamma pole are snapped to 0
+        lg, dead = [], False
+        for i in range(len(c)):
+            wc, inv = np.unique(WC[:, i], return_inverse=True)
+            E = c[i] - wc
+            pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
+                & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
+            lg.append(loggamma(np.where(pole, 1.0, E))[inv])
+            dead = dead | pole[inv]
+        logt -= np.column_stack(lg).sum(axis=1)
         if dual:
             logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0 else 0.0)
             logt += 1j * math.pi * (Wf @ srow)
         t = np.exp(logt)
         t[dead] = 0.0
-        shell_sum = complex(t.sum())
-        shell_maxes.append(float(np.max(np.abs(t))) if len(t) else 0.0)
-        terms += len(t)
-        y = shell_sum - comp
-        new_total = total + y
-        comp = (new_total - total) - y
-        total = new_total
+        ends = np.cumsum([len(shell) for shell in block])
+        for ts in np.split(t, ends[:-1]):
+            if len(ts) == 0:
+                shell_maxes.append(0.0)
+                continue
+            shell_sum = complex(ts.sum())
+            shell_maxes.append(float(np.max(np.abs(ts))))
+            terms += len(ts)
+            y = shell_sum - comp
+            new_total = total + y
+            comp = (new_total - total) - y
+            total = new_total
     value = cmath.exp(log_prefactor) * total
+    if not cmath.isfinite(value):
+        raise DivergentTail(f"a term or the sum is not finite at "
+                            f"sigma={sigma}")
     tail = [x for x in shell_maxes if x > 0][-3:]
     if len(tail) == 3 and tail[0] < tail[1] < tail[2]:
         raise DivergentTail(

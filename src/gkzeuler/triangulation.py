@@ -112,9 +112,10 @@ def _triangulate_raw(cfg, omega):
 def _ray_test(cfg, simplices, rng):
     """Each of 200 random rays A lambda, lambda > 0, must lie strictly inside
     exactly one simplicial cone.  In cone(A_sigma) the ray has coordinates
-    lambda_sigma + C lambda_sigma-bar; r times them are integers."""
+    lambda_sigma + C lambda_sigma-bar; r times them are integers.  A ray on
+    a cone's boundary is drawn again, up to 2000 draws in all."""
     done = 0
-    while done < 200:
+    for _ in range(2000):
         # lambda_j = p / q with q <= 7, scaled by 420 = lcm(1..7)
         lam = [rng.randint(1, 1000) * (420 // rng.randint(1, 7))
                for _ in range(cfg.N)]
@@ -133,7 +134,9 @@ def _ray_test(cfg, simplices, rng):
         if hits != 1:
             return False
         done += 1
-    return True
+        if done == 200:
+            return True
+    raise ExhaustedRetries(f"{done} of 200 rays off the cone boundaries")
 
 
 def is_homogeneous(cfg):

@@ -1,12 +1,17 @@
 """Independent reference implementations that only the tests use: the
 classical quadratic relations of the Gauss and Kummer series by direct
 truncated summation, a cofactor-expansion determinant, the Pochhammer
-reflection identity, and the lifting criterion in Fraction arithmetic."""
+reflection identity, the lifting criterion in Fraction arithmetic, a
+recursive graded-lex enumerator and the Gamma-series summed one shell at a
+time."""
 
 import cmath
 import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+from scipy.special import gammaln, loggamma
 
 from gkzeuler import intlinalg, specfun
 from gkzeuler.errors import DegenerateLifting, SingularMatrix
@@ -106,3 +111,81 @@ def regular_cells(cfg, omega):
         else:
             cells.add(sigma)
     return frozenset(cells)
+
+
+def graded_lex_recursive(dim, degree):
+    """All nonnegative integer vectors of length dim and the given degree,
+    as tuples in lexicographically decreasing order, by recursion on the
+    first coordinate."""
+    if dim == 0:
+        if degree == 0:
+            yield ()
+        return
+    if dim == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in graded_lex_recursive(dim - 1, degree - first):
+            yield (first,) + rest
+
+
+def series_by_shell(cfg, simplex, kvec, z, delta, M, dual):
+    """The truncated Gamma-series (or its dual) of a simplex, evaluated one
+    shell of graded degree at a time, with log-Gamma taken on every entry of
+    the Gamma arguments E.  Returns (value, shell_maxes, terms_summed,
+    series_abs) as gkzeuler.series computes them; inputs are not checked."""
+    sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
+    q = len(sigma_bar)
+    z = np.asarray([complex(x) for x in z])
+    delta_c = np.asarray([complex(x) for x in delta])
+    logz = np.log(z)
+    u0 = (simplex.inv_float @ delta_c[:, None]).ravel()
+    logz_sigma = np.array([logz[j - 1] for j in sigma])
+    if q:
+        logx = np.array([logz[j - 1] for j in sigma_bar]) \
+            - (C.T @ logz_sigma[:, None]).ravel()
+    else:
+        logx = np.zeros(0, dtype=complex)
+    sign = -1.0 if not dual else 1.0
+    log_prefactor = sign * complex(u0 @ logz_sigma)
+    if dual:
+        bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
+        srow = C[simplex.pos0, :].sum(axis=0)
+    kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
+    total = 0j
+    comp = 0j
+    terms = 0
+    shell_maxes = []
+    for deg in range(M + 1):
+        rows = list(graded_lex_recursive(q, deg))
+        W = np.array(rows, dtype=np.int64).reshape(len(rows), q)
+        if simplex.r > 1:
+            W = W[((W - kvec) @ simplex.C_int.T % simplex.r == 0).all(axis=1)]
+        if len(W) == 0:
+            shell_maxes.append(0.0)
+            continue
+        Wf = W.astype(float)
+        if dual:
+            E = 1.0 + u0[None, :] - Wf @ C.T
+        else:
+            E = 1.0 - u0[None, :] - Wf @ C.T
+        logt = Wf @ logx - gammaln(Wf + 1.0).sum(axis=1)
+        logt = logt.astype(complex)
+        near = np.abs(E.real - np.rint(E.real)) <= 1e-12
+        pole = near & (np.abs(E.imag) <= 1e-12) & (np.rint(E.real) <= 0)
+        dead = pole.any(axis=1)
+        logt -= loggamma(np.where(pole, 1.0, E)).sum(axis=1)
+        if dual:
+            logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0 else 0.0)
+            logt += 1j * math.pi * (Wf @ srow)
+        t = np.exp(logt)
+        t[dead] = 0.0
+        shell_sum = complex(t.sum())
+        shell_maxes.append(float(np.max(np.abs(t))))
+        terms += len(t)
+        y = shell_sum - comp
+        new_total = total + y
+        comp = (new_total - total) - y
+        total = new_total
+    value = cmath.exp(log_prefactor) * total
+    return value, tuple(shell_maxes), terms, abs(total)

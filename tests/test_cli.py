@@ -149,6 +149,24 @@ def test_bad_input_exits_two(capsys, argv):
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
 
 
+@pytest.mark.parametrize("argv", [
+    # a term overflows: z or the imaginary part of delta is too large
+    "series --config gauss --sigma 1,2,3 --delta 0.3,0.2,0.6 "
+    "--z 1,1,1,1e300 --order 5",
+    "series --config gauss --sigma 1,2,3 --delta 0.3+1e300j,0.2,0.6 "
+    "--z 1,1,1,0.1 --order 5",
+    # one shell is the whole sum, so no series of the relation is trusted
+    "verify --case e36 --order 0",
+])
+def test_numeric_failure_exits_four(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure")
+
+
 def test_series_kvec_of_right_length(capsys):
     code, out = _run(capsys, ["series", "--config", "g1", "--sigma", "2,3,4",
                               "--kvec", "1,0", "--delta", "0.3,0.2,0.6",

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_cofactor
+from oracles import det_cofactor, graded_lex_recursive
 
 from gkzeuler import intlinalg
 from gkzeuler.errors import ExhaustedRetries, SingularMatrix
@@ -67,12 +68,24 @@ def test_graded_lex_vectors_order_and_count():
     assert all(sum(v) == 2 for v in vs)
     assert vs == sorted(vs, reverse=True)
     assert len(set(vs)) == len(vs)
+    assert vs == list(graded_lex_recursive(3, 2))
 
 
 def test_graded_lex_vectors_degree_zero_and_empty_dim():
     assert list(intlinalg.graded_lex_vectors(2, 0)) == [(0, 0)]
     assert list(intlinalg.graded_lex_vectors(0, 0)) == [()]
     assert list(intlinalg.graded_lex_vectors(0, 1)) == []
+
+
+def test_graded_lex_shells_match_recursive_oracle():
+    for q in range(6):
+        for M in range(11):
+            shells = list(intlinalg.graded_lex_shells(q, M))
+            assert [deg for deg, _ in shells] == list(range(M + 1))
+            for deg, W in shells:
+                assert W.dtype == np.int64 and W.shape[1] == q
+                assert list(map(tuple, W.tolist())) == \
+                    list(graded_lex_recursive(q, deg)), (q, M, deg)
 
 
 def test_coset_search_raises_when_classes_run_out():

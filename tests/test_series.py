@@ -10,8 +10,9 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from oracles import graded_lex_recursive, series_by_shell
 
-from gkzeuler import config, intlinalg, series, triangulation
+from gkzeuler import config, intersection, intlinalg, series, triangulation
 from gkzeuler.errors import DivergentTail, NonGenericParameter, ScaleTooSmall
 
 
@@ -42,8 +43,7 @@ def test_lattice_cosets_partition_the_orthant():
     shells = {tuple(k): dict(series.lattice_shells(cfg, s, k, maxdeg))
               for k in kreps}
     for deg in range(maxdeg + 1):
-        everything = [tuple(w) for w in
-                      intlinalg.graded_lex_vectors(q, deg)]
+        everything = list(graded_lex_recursive(q, deg))
         covered = []
         for k in kreps:
             covered.extend(tuple(w) for w in shells[tuple(k)][deg])
@@ -142,6 +142,49 @@ def test_series_matches_direct_summation_with_cosets(dual):
         got = fn(cfg, s, kvec, z, delta, 16)
         want = _direct_series(cfg, s, kvec, z, delta, 16, dual)
         assert abs(got.value - want) <= 1e-11 * max(abs(want), 1e-30)
+
+
+def _block_reference_inputs():
+    """(cfg, simplex, kvec, z, delta, M, dual) for the block-evaluation test:
+    gauss at order 40, a g1 simplex with r = 2 and a coset shift, all six
+    e36 staircase simplices and one e36c simplex at order 24, the last two
+    at the twisted parameters of their quadratic relation."""
+    out = []
+    gauss = config.get_config("gauss")
+    g1 = config.get_config("g1")
+    for dual in (False, True):
+        out.append((gauss, triangulation.make_simplex(gauss, (1, 2, 3)), None,
+                    (1.0, 1.0, 1.0, 0.21), (0.377, 0.211, 0.613), 40, dual))
+        out.append((g1, triangulation.make_simplex(g1, (2, 3, 4)), (1, 0),
+                    (0.05, 0.5, 1.0, 2.0, 0.02), (0.313, 0.577, 0.239), 30,
+                    dual))
+    for name, count in (("e36", 6), ("e36c", 1)):
+        data = intersection.CASES[name](np.random.default_rng(0))
+        dplus, dminus = intersection.twisted_deltas(
+            data["cfg"], data["delta"], data["twist"])
+        assert len(data["tri"].simplices) >= count
+        for s in data["tri"].simplices[:count]:
+            out.append((data["cfg"], s, None, data["z"], dplus, 24, False))
+            out.append((data["cfg"], s, None, data["z"], dminus, 24, True))
+    return out
+
+
+def test_block_evaluation_matches_shell_by_shell_reference():
+    # blocks of shells share one pass over W and one log-Gamma per distinct
+    # argument; every number must come out bit for bit as shell by shell
+    def bits(x):
+        return np.asarray(x, dtype=complex).tobytes()
+
+    for cfg, s, kvec, z, delta, M, dual in _block_reference_inputs():
+        fn = series.dual_gamma_series if dual else series.gamma_series
+        got = fn(cfg, s, kvec, z, delta, M)
+        value, shell_maxes, terms, series_abs = series_by_shell(
+            cfg, s, kvec, z, delta, M, dual)
+        where = (cfg.name, s.indices, dual)
+        assert bits(got.value) == bits(value), where
+        assert bits(got.shell_maxes) == bits(shell_maxes), where
+        assert got.terms_summed == terms, where
+        assert bits(got.series_abs) == bits(series_abs), where
 
 
 def test_series_exponent_is_signed_u0():

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gkzeuler import cli, config, intersection, intlinalg, triangulation
-from gkzeuler.errors import BadDimensions, DegenerateLifting, NotATriangulation
+from gkzeuler.errors import (BadDimensions, DegenerateLifting,
+                             ExhaustedRetries, NotATriangulation)
 from oracles import regular_cells
 
 
@@ -87,6 +88,21 @@ def test_ray_test_rejects_overlaps_and_gaps(name, index_sets):
     with pytest.raises(NotATriangulation, match="random-ray"):
         triangulation.triangulation_from_simplices(
             cfg, index_sets or _confluent_staircase_gap())
+
+
+def test_ray_test_caps_boundary_redraws():
+    # when every draw is equal, each ray is A(1, ..., 1), which lies on the
+    # boundary of the cone of kummer's simplex (1, 2); it is drawn again
+    # only up to the cap
+    class SameDraw:
+        def randint(self, a, b):
+            return a
+
+    cfg = config.get_config("kummer")
+    s = triangulation.make_simplex(cfg, (1, 2))
+    assert s.C_int.tolist() == [[-1], [1]]
+    with pytest.raises(ExhaustedRetries):
+        triangulation._ray_test(cfg, [s], SameDraw())
 
 
 @pytest.mark.parametrize("name", config.registry_names())
