@@ -122,7 +122,6 @@ def _cmd_fan_scan(args):
     cfg = _load_config(args)
     tris = enumerate_regular_triangulations(cfg, samples=args.samples,
                                             seed=args.seed)
-    tris.sort(key=lambda t: t.index_sets())
     payload = {
         "config": cfg.name,
         "samples": args.samples,
@@ -250,7 +249,8 @@ def build_parser():
 
     sp = sub.add_parser("fan-scan",
                         help="sample the secondary fan for distinct "
-                             "regular triangulations")
+                             "regular triangulations, listed in discovery "
+                             "order")
     sp.add_argument("--config", required=True)
     sp.add_argument("--samples", type=int, default=500)
     common(sp)

@@ -6,11 +6,19 @@ Simplices carry 1-based column indices matching the usual labels (e.g.
 "235").  A candidate triangulation is validated by a volume sum against an
 independently computed normalized volume plus a random-ray multiplicity
 test; failures raise NotATriangulation instead of proceeding silently.
+
+What depends on the configuration alone is computed once per configuration
+and kept in a table: every nonsingular d-subset as a Simplex (with its
+integer view C_int), whether the configuration is homogeneous, and its
+normalized volume.  A lifting is then tested against the table with integer
+products only.  A secondary-fan scan validates each distinct index set once,
+and a triangulation given by explicit index sets is built and validated once
+per (configuration, index sets, seed).
 """
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -85,23 +93,19 @@ def make_simplex(cfg, indices):
 
 
 def _triangulate_raw(cfg, omega):
-    """Simplices of T(omega) without validation.  sigma is a cell iff
-    omega_sigma C < omega_j for every column j outside sigma; both sides are
-    scaled by r so the test reads the integers C_int.  omega holds ints or
-    Fractions."""
+    """Simplices of T(omega) without validation, in the table's order.  sigma
+    is a cell iff omega_sigma C < omega_j for every column j outside sigma;
+    both sides are scaled by r so the test reads the integers C_int.  omega
+    holds ints or Fractions."""
     if len(omega) != cfg.N:
         raise BadDimensions(f"omega length {len(omega)} != {cfg.N}")
     out = []
-    for sigma in combinations(range(1, cfg.N + 1), cfg.d):
-        try:
-            s = make_simplex(cfg, sigma)
-        except SingularMatrix:
-            continue
-        w_sigma = np.array([omega[i - 1] for i in sigma], dtype=object)
+    for s in _table(cfg).simplices:
+        w_sigma = np.array([omega[i - 1] for i in s.indices], dtype=object)
         for v, j in zip(w_sigma @ s.C_int, s.bar):
             if v == s.r * omega[j - 1]:
-                raise DegenerateLifting(
-                    f"lifting is non-generic: equality at sigma={sigma}, j={j}")
+                raise DegenerateLifting(f"lifting is non-generic: equality "
+                                        f"at sigma={s.indices}, j={j}")
             if v > s.r * omega[j - 1]:
                 break
         else:
@@ -149,28 +153,63 @@ def is_homogeneous(cfg):
         == len(intlinalg.snf_divisors(rows + [[1] * cfg.N]))
 
 
-_volume_cache = {}
+class _ConfigTable:
+    """What the triangulation layer derives from a configuration alone; each
+    part is computed on first use."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def simplices(self):
+        """Every nonsingular d-subset, in combinations order."""
+        out = []
+        for sigma in combinations(range(1, self.cfg.N + 1), self.cfg.d):
+            try:
+                s = make_simplex(self.cfg, sigma)
+            except SingularMatrix:
+                continue
+            s.C_int             # fill the view every lifting test reads
+            out.append(s)
+        return tuple(out)
+
+    @cached_property
+    def homogeneous(self):
+        return is_homogeneous(self.cfg)
+
+    @cached_property
+    def volume(self):
+        """See normalized_volume."""
+        rng = random.Random(20240 + self.cfg.N)
+        for _ in range(200):
+            omega = [rng.randint(-10 ** 6, 10 ** 6)
+                     for _ in range(self.cfg.N)]
+            try:
+                simplices = _triangulate_raw(self.cfg, omega)
+            except DegenerateLifting:
+                continue
+            if simplices and _ray_test(self.cfg, simplices, rng):
+                return sum(s.r for s in simplices)
+        raise ExhaustedRetries("could not build a reference triangulation")
+
+
+_tables = {}
+
+
+def _table(cfg):
+    """The configuration's table.  Keyed by matrix and blocks, because
+    Simplex.blocks depends on the blocks."""
+    key = (cfg.matrix, cfg.blocks)
+    if key not in _tables:
+        _tables[key] = _ConfigTable(cfg)
+    return _tables[key]
 
 
 def normalized_volume(cfg):
     """Normalized volume of the configuration: sum of |det A_sigma| over a
     reference regular triangulation obtained from a fixed pseudo-random
     lifting, validated by the random-ray test."""
-    key = cfg.matrix
-    if key in _volume_cache:
-        return _volume_cache[key]
-    rng = random.Random(20240 + cfg.N)
-    for _ in range(200):
-        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
-        try:
-            simplices = _triangulate_raw(cfg, omega)
-        except DegenerateLifting:
-            continue
-        if simplices and _ray_test(cfg, simplices, rng):
-            vol = sum(s.r for s in simplices)
-            _volume_cache[key] = vol
-            return vol
-    raise ExhaustedRetries("could not build a reference triangulation")
+    return _table(cfg).volume
 
 
 def is_convergent(simplices):
@@ -186,7 +225,7 @@ def is_unimodular(simplices):
 def _validate(cfg, simplices, seed):
     """Raise NotATriangulation unless the simplices pass the volume sum (for
     a homogeneous configuration) and the random-ray multiplicity test."""
-    if is_homogeneous(cfg):
+    if _table(cfg).homogeneous:
         vol = sum(s.r for s in simplices)
         if vol != normalized_volume(cfg):
             raise NotATriangulation(
@@ -196,7 +235,10 @@ def _validate(cfg, simplices, seed):
         raise NotATriangulation("random-ray multiplicity test failed")
 
 
-def _triangulation(simplices, omega):
+def _validated(cfg, simplices, omega, seed):
+    """The simplices sorted by indices, validated and classified."""
+    simplices = sorted(simplices, key=lambda s: s.indices)
+    _validate(cfg, simplices, seed)
     return Triangulation(simplices=tuple(simplices), omega=tuple(omega),
                          convergent=is_convergent(simplices),
                          unimodular=is_unimodular(simplices))
@@ -204,19 +246,22 @@ def _triangulation(simplices, omega):
 
 def triangulate(cfg, omega, seed=0):
     """Regular triangulation T(omega), validated."""
-    simplices = _triangulate_raw(cfg, omega)
-    simplices.sort(key=lambda s: s.indices)
-    _validate(cfg, simplices, seed)
-    return _triangulation(simplices, omega)
+    return _validated(cfg, _triangulate_raw(cfg, omega), omega, seed)
 
 
 def triangulation_from_simplices(cfg, index_sets, seed=0):
     """Build a Triangulation from explicit index sets (e.g. a staircase
-    triangulation known in closed form); validated like triangulate."""
-    simplices = sorted((make_simplex(cfg, s) for s in index_sets),
-                       key=lambda s: s.indices)
-    _validate(cfg, simplices, seed)
-    return _triangulation(simplices, ())
+    triangulation known in closed form); validated like triangulate.  The
+    result is kept, so equal index sets in any order give the same object."""
+    key = tuple(sorted(tuple(sorted(s)) for s in index_sets))
+    return _from_simplices(cfg, key, seed)
+
+
+@cache
+def _from_simplices(cfg, index_sets, seed):
+    # a raised NotATriangulation is not cached: the next call raises again
+    return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], (),
+                      seed)
 
 
 def sample_interior_lifting(cfg, seed=0):
@@ -234,24 +279,31 @@ def sample_interior_lifting(cfg, seed=0):
 
 
 def enumerate_regular_triangulations(cfg, samples=500, seed=0):
-    """Sampling-based scan of the secondary fan: deduplicated set of T(omega)
-    over random liftings.  Not guaranteed exhaustive."""
+    """Sampling-based scan of the secondary fan: the distinct T(omega) over
+    random liftings, in discovery order, each with the first omega that gave
+    it.  Not guaranteed exhaustive.  Each distinct index set is validated
+    once; the verdict is the same every time, because _validate draws its
+    rays from a fixed seed."""
     if samples < 1:
         raise BadDimensions(f"need at least 1 sample, got {samples}")
     rng = random.Random(seed)
-    seen = {}
+    verdicts = {}           # index set -> Triangulation, or None if rejected
     for _ in range(samples):
         omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
         try:
-            tri = triangulate(cfg, omega)
-        except (DegenerateLifting, NotATriangulation):
+            simplices = _triangulate_raw(cfg, omega)
+        except DegenerateLifting:
+            continue
+        key = frozenset(s.indices for s in simplices)
+        if key in verdicts:
+            continue
+        try:
+            verdicts[key] = _validated(cfg, simplices, omega, 0)
+        except NotATriangulation:
             # liftings outside the support of the secondary fan (possible
             # for non-homogeneous configurations) do not subdivide cone(A)
-            continue
-        key = tri.index_sets()
-        if key not in seen:
-            seen[key] = tri
-    return list(seen.values())
+            verdicts[key] = None
+    return [t for t in verdicts.values() if t is not None]
 
 
 # ---------------------------------------------------------------------------

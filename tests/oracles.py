@@ -1,20 +1,22 @@
 """Independent reference implementations that only the tests use: the
 classical quadratic relations of the Gauss and Kummer series by direct
 truncated summation, a cofactor-expansion determinant, the Pochhammer
-reflection identity, the lifting criterion in Fraction arithmetic, a
-recursive graded-lex enumerator and the Gamma-series summed one shell at a
-time."""
+reflection identity, the lifting criterion in Fraction arithmetic, the
+secondary-fan scan with one validation per lifting, a recursive graded-lex
+enumerator and the Gamma-series summed one shell at a time."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from gkzeuler import intlinalg, specfun
-from gkzeuler.errors import DegenerateLifting, SingularMatrix
+from gkzeuler import intlinalg, specfun, triangulation
+from gkzeuler.errors import (DegenerateLifting, NotATriangulation,
+                             SingularMatrix)
 
 
 def _hyp2f1(a, b, c, w, M):
@@ -111,6 +113,21 @@ def regular_cells(cfg, omega):
         else:
             cells.add(sigma)
     return frozenset(cells)
+
+
+def scan_by_triangulate(cfg, samples, seed):
+    """The secondary-fan scan as one validated triangulate call per random
+    lifting, keeping the first triangulation seen of each index set."""
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(samples):
+        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
+        try:
+            tri = triangulation.triangulate(cfg, omega)
+        except (DegenerateLifting, NotATriangulation):
+            continue
+        seen.setdefault(tri.index_sets(), tri)
+    return list(seen.values())
 
 
 def graded_lex_recursive(dim, degree):

@@ -1,6 +1,7 @@
 """Acceptance suite: end-to-end numerical and exact checks with pinned
 tolerances and time budgets."""
 
+import json
 import math
 import random
 import time
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import graded_lex_recursive, pochhammer_reflection_check
 
-from gkzeuler import config, intersection, intlinalg, series, specfun, \
+from gkzeuler import cli, config, intersection, intlinalg, series, specfun, \
     triangulation
 
 
@@ -125,6 +126,15 @@ def test_fan_scan_counts_and_flags():
     tris = triangulation.enumerate_regular_triangulations(cfg, samples=500,
                                                           seed=0)
     assert all(t.unimodular for t in tris)
+
+
+def test_fan_scan_e36_two_hundred_samples(capsys):
+    t0 = time.perf_counter()
+    code = cli.main(["fan-scan", "--config", "e36", "--samples", "200",
+                     "--seed", "0"])
+    assert time.perf_counter() - t0 < 3.0
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["count"] == 90
 
 
 # -- 9: staircase ladders and exponent vectors -------------------------------

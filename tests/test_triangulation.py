@@ -4,13 +4,15 @@ exponent vectors."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from gkzeuler import cli, config, intersection, intlinalg, triangulation
 from gkzeuler.errors import (BadDimensions, DegenerateLifting,
-                             ExhaustedRetries, NotATriangulation)
-from oracles import regular_cells
+                             ExhaustedRetries, NotATriangulation,
+                             SingularMatrix)
+from oracles import regular_cells, scan_by_triangulate
 
 
 def _sets(tri):
@@ -131,6 +133,88 @@ def test_lifting_test_matches_fraction_oracle(name):
         assert frozenset(s.indices for s in got) == want, omega
         outcomes.add("cells")
     assert outcomes == {"cells", "degenerate"}
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_table_matches_fresh_simplices(monkeypatch, name):
+    # every nonsingular d-subset, in combinations order, equal to a simplex
+    # built afresh, with the integer view computed when the table is built
+    monkeypatch.setattr(triangulation, "_tables", {})
+    cfg = config.get_config(name)
+    fresh = []
+    for sigma in combinations(range(1, cfg.N + 1), cfg.d):
+        try:
+            fresh.append(triangulation.make_simplex(cfg, sigma))
+        except SingularMatrix:
+            continue
+    table = triangulation._table(cfg).simplices
+    assert table == tuple(fresh)
+    assert all("C_int" in vars(s) for s in table)
+    assert [s.C_int.tolist() for s in table] \
+        == [s.C_int.tolist() for s in fresh]
+
+
+def test_sorting_a_raw_triangulation_leaves_the_table():
+    cfg = config.get_config("e36")
+    before = triangulation._table(cfg).simplices
+    omega = triangulation.sample_interior_lifting(cfg, seed=3)
+    raw = triangulation._triangulate_raw(cfg, omega)
+    raw.sort(key=lambda s: s.indices, reverse=True)
+    assert raw[0].indices > raw[-1].indices
+    assert triangulation._table(cfg).simplices == before
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_scan_matches_one_triangulate_per_lifting(name):
+    # same triangulations, first omega, flags and discovery order as
+    # validating every lifting
+    cfg = config.get_config(name)
+    for seed in (0, 7):
+        got = triangulation.enumerate_regular_triangulations(
+            cfg, samples=40, seed=seed)
+        assert got == scan_by_triangulate(cfg, 40, seed), seed
+
+
+@pytest.mark.parametrize("name", ["g1", "gamma2"])
+def test_scan_validates_each_index_set_once(monkeypatch, name):
+    # gamma2 also meets an index set that the ray test rejects
+    cfg = config.get_config(name)
+    triangulation.normalized_volume(cfg)     # the volume reference's rays
+    seen = []
+    ray_test = triangulation._ray_test
+
+    def counting(cfg, simplices, rng):
+        seen.append(frozenset(s.indices for s in simplices))
+        return ray_test(cfg, simplices, rng)
+
+    monkeypatch.setattr(triangulation, "_ray_test", counting)
+    triangulation.enumerate_regular_triangulations(cfg, samples=60, seed=0)
+    rng = random.Random(0)
+    raw = []
+    for _ in range(60):
+        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
+        try:
+            raw.append(frozenset(s.indices for s in
+                                 triangulation._triangulate_raw(cfg, omega)))
+        except DegenerateLifting:
+            pass
+    assert len(seen) == len(set(raw)) < len(raw)
+    assert set(seen) == set(raw)
+
+
+def test_explicit_triangulation_is_built_once():
+    cfg = config.get_config("e36")
+    tri = triangulation.staircase_triangulation(cfg, 2, 5)
+    permuted = [tuple(reversed(s.indices)) for s in reversed(tri.simplices)]
+    assert triangulation.triangulation_from_simplices(cfg, permuted) is tri
+
+
+def test_rejected_explicit_triangulation_raises_every_time():
+    cfg = config.get_config("e36c")
+    for _ in range(2):
+        with pytest.raises(NotATriangulation):
+            triangulation.triangulation_from_simplices(
+                cfg, _confluent_staircase_gap())
 
 
 def test_degenerate_lifting_raises():
