@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 residual above tolerance, 2 bad input,
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -17,10 +18,11 @@ import sys
 from fractions import Fraction
 
 from .errors import (BadDimensions, DegenerateLifting, DegenerateParameter,
-                     DivergentTail, GkzError, LatticeNotFull,
-                     NonGenericParameter, NotATriangulation, NotConvergent,
-                     NotUnimodular, PoleAtNonpositiveInteger, ScaleTooSmall,
-                     SineZero, SingularMatrix, ZeroDenominator)
+                     DivergentTail, ExhaustedRetries, GkzError,
+                     LatticeNotFull, NonGenericParameter, NotATriangulation,
+                     NotConvergent, NotUnimodular, PoleAtNonpositiveInteger,
+                     ScaleTooSmall, SineZero, SingularMatrix, UndefinedRatio,
+                     ZeroDenominator)
 from .config import get_config, load_block_config_json, registry_names
 from .triangulation import (enumerate_ladders, enumerate_regular_triangulations,
                             ladder_exponents, triangulate)
@@ -38,8 +40,9 @@ _BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,
               NotConvergent, NotUnimodular, SingularMatrix, KeyError,
               ValueError)
 _DEGENERATE = (DegenerateLifting, DegenerateParameter, NonGenericParameter,
-               PoleAtNonpositiveInteger, SineZero, ZeroDenominator)
-_NUMERIC = (DivergentTail, ScaleTooSmall, OverflowError)
+               PoleAtNonpositiveInteger, SineZero, UndefinedRatio,
+               ZeroDenominator)
+_NUMERIC = (DivergentTail, ExhaustedRetries, ScaleTooSmall, OverflowError)
 
 
 def _encode(obj):
@@ -229,6 +232,7 @@ def _cmd_report(args):
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
+@functools.cache   # one parser per process; parse_args leaves it unchanged
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gkzeuler",

@@ -21,8 +21,8 @@ from .errors import (DegenerateParameter, DivergentTail, NotConvergent,
 from .config import aomoto_gelfand_config, confluent_config, get_config
 from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
-from .series import (_as_simplex, dual_gamma_series, gamma_series,
-                     transformation_matrix, transformation_matrix_dual)
+from .series import (_as_simplex, gamma_series_pair, transformation_matrix,
+                     transformation_matrix_dual)
 from .specfun import pochhammer, pochhammer_exact, sin_pi_product
 
 _TWO_PI_I = 2j * math.pi
@@ -226,8 +226,7 @@ def _relation_sum(cfg, tri, delta, twist, z, M, weight):
     total = 0j
     for s in tri.simplices:
         w = weight(s)
-        f = gamma_series(cfg, s, None, z, dplus, M)
-        fd = dual_gamma_series(cfg, s, None, z, dminus, M)
+        f, fd = gamma_series_pair(cfg, s, z, dplus, dminus, M)
         if not (f.trusted and fd.trusted):
             raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
         total += w * f.value * fd.value

@@ -185,23 +185,27 @@ def graded_lex_shells(q, M):
     """Yields (deg, W) for deg = 0..M: the rows of the int64 array W are the
     nonnegative vectors of length q and degree deg, in decreasing lex order.
     Those of length k and degree deg are (deg - e, v), v of length k - 1 and
-    degree e = 0..deg; length q is built one degree at a time."""
+    degree e = 0..deg; each length is built in one array, all degrees at
+    once, and the shells of length q are views into it."""
     if M < 0:
         return
     rows = np.zeros((1, 0), dtype=np.int64)   # length 0: (), of degree 0
     degree = np.zeros(1, dtype=np.int64)      # the degree of each row
-    for k in range(q):
-        ends = np.searchsorted(degree, np.arange(M + 1), side="right")
-        shells = (np.column_stack((deg - degree[:n], rows[:n]))
-                  for deg, n in enumerate(ends))
-        if k == q - 1:
-            yield from enumerate(shells)
-            return
-        shells = list(shells)
-        rows = np.concatenate(shells)
-        degree = np.repeat(np.arange(M + 1), [len(W) for W in shells])
-    for deg in range(M + 1):
-        yield deg, rows[:int(deg == 0)]
+    counts = [1] + [0] * M                    # the rows of each degree
+    degrees = np.arange(M + 1)
+    for _ in range(q):
+        # shell deg takes the first counts[deg] rows, those of degree <= deg
+        counts = np.searchsorted(degree, degrees, side="right").tolist()
+        new_degree = np.repeat(degrees, counts)
+        longer = np.empty((len(new_degree), rows.shape[1] + 1),
+                          dtype=np.int64)
+        longer[:, 0] = new_degree - np.concatenate([degree[:n]
+                                                    for n in counts])
+        longer[:, 1:] = np.concatenate([rows[:n] for n in counts])
+        rows, degree = longer, new_degree
+    ends = np.cumsum(counts).tolist()
+    for deg, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+        yield deg, rows[start:end]
 
 
 def graded_lex_vectors(dim, degree):

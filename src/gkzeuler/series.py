@@ -5,7 +5,9 @@ transformation matrices.
 Terms are evaluated in log-space (complex log-Gamma, once per distinct
 argument) over blocks of consecutive shells of the graded-lex order, and
 summed shell by shell with compensated accumulation, so results are
-deterministic.  All complex powers use the principal logarithm.
+deterministic.  The series of a simplex that a quadratic relation pairs,
+phi and phi^vee, share one pass over the shells.  All complex powers use
+the principal logarithm.
 """
 
 import cmath
@@ -77,8 +79,67 @@ def _blocks(shells):
         yield block
 
 
+class _Job:
+    """One series of a `_sum_series` pass: its Gamma arguments c, the
+    prefactor z_sigma^(-+u0) and the compensated sum of its shells."""
+
+    def __init__(self, simplex, logz_sigma, delta, dual):
+        u0 = (simplex.inv_float     # A_sigma^{-1} delta
+              @ np.asarray([complex(x) for x in delta])[:, None]).ravel()
+        sign = 1.0 if dual else -1.0
+        self.dual = dual
+        self.c = 1.0 + u0 if dual else 1.0 - u0
+        self.exponent = tuple(sign * u0)
+        self.log_prefactor = sign * complex(u0 @ logz_sigma)
+        self.total = 0j
+        self.comp = 0j     # Kahan compensation across shells
+        self.terms = 0
+        self.shell_maxes = []
+
+    def add_block(self, t, shells):
+        """Adds the terms t[a:b] of each shell (a, b) of a block, in order."""
+        # one segment per non-empty shell: each ends where the next begins
+        filled = [a for a, b in shells if b > a]
+        maxes = iter(np.maximum.reduceat(np.abs(t), filled).tolist()
+                     if filled else ())
+        for a, b in shells:
+            if a == b:
+                self.shell_maxes.append(0.0)
+                continue
+            shell_sum = complex(t[a:b].sum())
+            self.shell_maxes.append(next(maxes))
+            self.terms += b - a
+            y = shell_sum - self.comp
+            new_total = self.total + y
+            self.comp = (new_total - self.total) - y
+            self.total = new_total
+
+    def result(self, sigma, M):
+        value = cmath.exp(self.log_prefactor) * self.total
+        if not cmath.isfinite(value):
+            raise DivergentTail(f"a term or the sum is not finite at "
+                                f"sigma={sigma}")
+        tail = [x for x in self.shell_maxes if x > 0][-3:]
+        if len(tail) == 3 and tail[0] < tail[1] < tail[2]:
+            raise DivergentTail(
+                f"shell maxima increasing at sigma={sigma}: {tail}")
+        # one entry per shell of degree 0..M, so never empty
+        return SeriesValue(value=value, order=M, terms_summed=self.terms,
+                           last_shell_max=self.shell_maxes[-1],
+                           shell_maxes=tuple(self.shell_maxes),
+                           exponent=self.exponent, series_abs=abs(self.total))
+
+
 @np.errstate(over="ignore", invalid="ignore")   # checked: value is finite
-def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
+def _sum_series(cfg, simplex, kvec, z, M, jobs):
+    """The series (delta, dual) of `jobs` on one simplex, in one pass.
+
+    Per block of shells, W @ C^T, the log-monomials over the factorials and
+    the distinct entries of each column of W @ C^T are computed once and
+    shared; each series then takes its own log-Gamma, phases and
+    compensated shell sums.  Very-genericity is checked once per distinct
+    delta, in the order of `jobs`.
+    """
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
     if M < 0:
@@ -88,90 +149,77 @@ def _sum_series(cfg, simplex, kvec, z, delta, M, dual):
                             f"outside sigma={sigma}, got {len(kvec)}")
     if any(x == 0 for x in z):
         raise BadDimensions("z lies in (C*)^N: no entry may be zero")
-    if not all(cmath.isfinite(x) for x in (*z, *delta)):
+    if not all(cmath.isfinite(x) for delta, _ in jobs for x in (*z, *delta)):
         raise BadDimensions("z and delta need finite entries")
-    if not is_very_generic(simplex, delta):
-        raise NonGenericParameter(
-            f"delta={delta} hits an integer entry for sigma={sigma}")
+    checked = set()
+    for delta, _ in jobs:
+        if tuple(delta) in checked:
+            continue
+        if not is_very_generic(simplex, delta):
+            raise NonGenericParameter(
+                f"delta={delta} hits an integer entry for sigma={sigma}")
+        checked.add(tuple(delta))
     z = np.asarray([complex(x) for x in z])
-    delta_c = np.asarray([complex(x) for x in delta])
     logz = np.log(z)
-    u0 = (simplex.inv_float @ delta_c[:, None]).ravel()  # A_sigma^{-1} delta
     logz_sigma = np.array([logz[j - 1] for j in sigma])
     logx = np.array([logz[j - 1] for j in sigma_bar]) \
         - (C.T @ logz_sigma[:, None]).ravel()
-    sign = -1.0 if not dual else 1.0
-    prefactor_exponent = tuple(sign * u0)
-    log_prefactor = sign * complex(u0 @ logz_sigma)
-
-    if dual:
-        # positions of sigma_bar cap I_0 inside sigma_bar
-        bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-        srow = C[simplex.pos0, :].sum(axis=0)
-    c = 1.0 + u0 if dual else 1.0 - u0
+    jobs = [_Job(simplex, logz_sigma, delta, dual) for delta, dual in jobs]
+    # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
+    bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
+    srow = C[simplex.pos0, :].sum(axis=0)
     log_factorial = gammaln(np.arange(M + 1) + 1.0)
 
-    total = 0j
-    comp = 0j     # Kahan compensation across shells
-    terms = 0
-    shell_maxes = []
     for block in _blocks(lattice_shells(cfg, simplex, kvec, M)):
         W = np.concatenate(block)
         Wf = W.astype(float)
         WC = Wf @ C.T
-        logt = Wf @ logx - log_factorial[W].sum(axis=1)
+        logmono = Wf @ logx - log_factorial[W].sum(axis=1)
         # The Gamma arguments E = c - WC take one log-Gamma per distinct entry
-        # of a column of WC; terms that land on a Gamma pole are snapped to 0
-        lg, dead = [], False
-        for i in range(len(c)):
-            wc, inv = np.unique(WC[:, i], return_inverse=True)
-            E = c[i] - wc
+        # of a column of WC: the distinct entries of all columns lie end to
+        # end in wc, and at[:, i] points each row's entry of column i there
+        columns = [np.unique(col, return_inverse=True) for col in WC.T]
+        sizes = [len(u) for u, _ in columns]
+        wc = np.concatenate([u for u, _ in columns])
+        at = np.column_stack([inv + off for (_, inv), off in
+                              zip(columns, np.cumsum(sizes) - sizes)])
+        ends = np.cumsum([len(shell) for shell in block]).tolist()
+        shells = list(zip([0] + ends[:-1], ends))     # rows of each shell
+        for job in jobs:
+            E = np.repeat(job.c, sizes) - wc
+            # terms that land on a Gamma pole are snapped to 0
             pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
                 & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-            lg.append(loggamma(np.where(pole, 1.0, E))[inv])
-            dead = dead | pole[inv]
-        logt -= np.column_stack(lg).sum(axis=1)
-        if dual:
-            logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0 else 0.0)
-            logt += 1j * math.pi * (Wf @ srow)
-        t = np.exp(logt)
-        t[dead] = 0.0
-        ends = np.cumsum([len(shell) for shell in block])
-        for ts in np.split(t, ends[:-1]):
-            if len(ts) == 0:
-                shell_maxes.append(0.0)
-                continue
-            shell_sum = complex(ts.sum())
-            shell_maxes.append(float(np.max(np.abs(ts))))
-            terms += len(ts)
-            y = shell_sum - comp
-            new_total = total + y
-            comp = (new_total - total) - y
-            total = new_total
-    value = cmath.exp(log_prefactor) * total
-    if not cmath.isfinite(value):
-        raise DivergentTail(f"a term or the sum is not finite at "
-                            f"sigma={sigma}")
-    tail = [x for x in shell_maxes if x > 0][-3:]
-    if len(tail) == 3 and tail[0] < tail[1] < tail[2]:
-        raise DivergentTail(
-            f"shell maxima increasing at sigma={sigma}: {tail}")
-    return SeriesValue(value=value, order=M, terms_summed=terms,
-                       last_shell_max=shell_maxes[-1] if shell_maxes else 0.0,
-                       shell_maxes=tuple(shell_maxes),
-                       exponent=prefactor_exponent, series_abs=abs(total))
+            logt = logmono - loggamma(np.where(pole, 1.0, E))[at].sum(axis=1)
+            if job.dual:
+                logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0
+                                        else 0.0)
+                logt += 1j * math.pi * (Wf @ srow)
+            t = np.exp(logt)
+            if pole.any():
+                t[pole[at].any(axis=1)] = 0.0
+            job.add_block(t, shells)
+    return [job.result(sigma, M) for job in jobs]
 
 
 def gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi_{sigma,k}(z; delta) truncated at graded degree M."""
-    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, delta, M,
-                       dual=False)
+    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, M,
+                       [(delta, False)])[0]
 
 
 def dual_gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi^vee_{sigma,k}(z; delta) truncated at graded degree M."""
-    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, delta, M,
-                       dual=True)
+    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, M,
+                       [(delta, True)])[0]
+
+
+def gamma_series_pair(cfg, sigma, z, delta_plus, delta_minus, M):
+    """(phi_{sigma,0}(z; delta_plus), phi^vee_{sigma,0}(z; delta_minus)),
+    truncated at graded degree M, in one pass over the shells; each equals
+    the single-series call bit for bit."""
+    return tuple(_sum_series(cfg, _as_simplex(cfg, sigma), None, z, M,
+                             [(delta_plus, False), (delta_minus, True)]))
 
 
 def sample_point_in_UT(cfg, tri, t=5.0):

@@ -2,10 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gkzeuler import cli
+from gkzeuler.errors import ExhaustedRetries, UndefinedRatio
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(capsys, argv):
@@ -231,3 +238,57 @@ def test_config_from_json_file(tmp_path, capsys):
 def test_entry_raises_system_exit():
     with pytest.raises(SystemExit):
         cli.entry()
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-m", "gkzeuler.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:            # argparse rejected the argv
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_answers_like_fresh_processes(capsys,
+                                                             monkeypatch):
+    # the parser is built once per process; a rejected argv must leave it as
+    # it was, so every answer matches a new interpreter's
+    monkeypatch.setenv("COLUMNS", "80")
+    rejected = ["verify", "--case", "nope"]
+    valid = ["verify", "--case", "kummer", "--seed", "3"]
+    answers = [_in_process(capsys, argv)
+               for argv in (rejected, valid, rejected, ["--help"])]
+    assert cli.build_parser() is cli.build_parser()
+    assert answers[0] == answers[2]
+    code, out, err = answers[0]
+    assert code == cli.EXIT_BAD_INPUT and out == ""
+    assert err.splitlines()[-1].startswith("gkzeuler verify: error:")
+    assert answers[1][0] == cli.EXIT_OK and answers[1][2] == ""
+    assert answers[3][0] == 0 and answers[3][1].startswith("usage:")
+    for argv, answer in zip((rejected, valid, ["--help"]),
+                            (answers[0], answers[1], answers[3])):
+        assert _fresh(argv) == answer, argv
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ExhaustedRetries("no generic lifting found in 1000 tries"),
+     cli.EXIT_NUMERIC, "numerical failure"),
+    (UndefinedRatio("Gamma pole at alpha+beta=-2"),
+     cli.EXIT_DEGENERATE, "degenerate parameters"),
+])
+def test_exhausted_retries_and_undefined_ratio_exit_codes(capsys, monkeypatch,
+                                                          exc, code, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "enumerate_regular_triangulations", fail)
+    assert _in_process(capsys, ["fan-scan", "--config", "g1"]) == \
+        (code, "", f"{prefix}: {exc}\n")

@@ -3,7 +3,9 @@ direct-summation oracle, the dual-series sign rule, convergence guards and
 transformation matrices."""
 
 import cmath
+import dataclasses
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +15,8 @@ import pytest
 from oracles import graded_lex_recursive, series_by_shell
 
 from gkzeuler import config, intersection, intlinalg, series, triangulation
-from gkzeuler.errors import DivergentTail, NonGenericParameter, ScaleTooSmall
+from gkzeuler.errors import (BadDimensions, DivergentTail,
+                             NonGenericParameter, ScaleTooSmall)
 
 
 def _nonunimodular_simplex(cfg):
@@ -185,6 +188,101 @@ def test_block_evaluation_matches_shell_by_shell_reference():
         assert bits(got.shell_maxes) == bits(shell_maxes), where
         assert got.terms_summed == terms, where
         assert bits(got.series_abs) == bits(series_abs), where
+
+
+def _bits(value):
+    """Every field of a SeriesValue as raw bytes, so that -0.0 != 0.0."""
+    return tuple(np.asarray(x, dtype=complex).tobytes()
+                 for x in dataclasses.astuple(value))
+
+
+@pytest.mark.parametrize("name", sorted(intersection.CASES))
+def test_series_pair_matches_single_series_bit_for_bit(name):
+    # phi and phi^vee of a simplex share one pass over the shells; each must
+    # equal its own single-series call in every field, on every simplex of
+    # the case's triangulation, at the case's order and at shallow ones
+    twisted = False
+    for seed in range(5):
+        data = intersection.CASES[name](np.random.default_rng(seed))
+        cfg, z = data["cfg"], data["z"]
+        dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                    data["twist"])
+        twisted |= dplus != dminus
+        for M in (data["order"], 0, 2, 8):
+            for s in data["tri"].simplices:
+                pair = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+                single = (series.gamma_series(cfg, s, None, z, dplus, M),
+                          series.dual_gamma_series(cfg, s, None, z, dminus,
+                                                   M))
+                assert list(map(_bits, pair)) == list(map(_bits, single)), \
+                    (seed, M, s.indices)
+    # the ag cocycles twist delta+ and delta- apart
+    assert twisted == (name == "ag")
+
+
+def test_series_pass_through_gamma_poles_matches_single_series():
+    # sigma = (1, 2) has volume 4 and C = (3/4, 1/4).  On Lambda_3 (w = 3
+    # mod 4), delta+ gives (u0 + C w)_2 = (w - 7) / 4: an integer on every
+    # shell, so Gamma(1 - (u0 + C w)_2) has a pole from w = 11 on, though no
+    # w with |w| <= 2 makes an entry integral and delta+ passes the bounded
+    # genericity scan.  The dual series at delta- keeps all its terms.
+    cfg = config.build_cayley(1, 1, [[], [[0, 4, 1]]])
+    s = triangulation.make_simplex(cfg, (1, 2))
+    z = (1.0, 1.0, 0.5)
+    dplus, dminus = (-1.45, -7.0), (-1.34, -7.0)
+    got = series._sum_series(cfg, s, (3,), z, 24,
+                             [(dplus, False), (dminus, True)])
+    want = (series.gamma_series(cfg, s, (3,), z, dplus, 24),
+            series.dual_gamma_series(cfg, s, (3,), z, dminus, 24))
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    alive = [[deg for deg, x in enumerate(v.shell_maxes) if x > 0]
+             for v in got]
+    assert alive == [[3, 7], [3, 7, 11, 15, 19, 23]]
+    assert got[0].terms_summed == got[1].terms_summed == 6
+
+
+def test_series_pair_checks_genericity_once_per_distinct_delta(monkeypatch):
+    cfg = config.get_config("gauss")
+    s = triangulation.make_simplex(cfg, (1, 2, 3))
+    z = (1.0, 1.0, 1.0, 0.1)
+    delta, other = (0.377, 0.211, 0.613), (1.377, 0.211, 0.613)
+    seen = []
+
+    def counted(simplex, d):
+        seen.append(tuple(d))
+        return config.is_very_generic(simplex, d)
+
+    monkeypatch.setattr(series, "is_very_generic", counted)
+    series.gamma_series_pair(cfg, s, z, delta, delta, 6)
+    assert seen == [delta]
+    seen.clear()
+    series.gamma_series_pair(cfg, s, z, delta, other, 6)
+    assert seen == [delta, other]
+
+
+def test_series_pair_error_precedence():
+    # input checks first, then delta+, then delta-; each message is the one
+    # the single-series call raises
+    cfg = config.get_config("gauss")
+    s = triangulation.make_simplex(cfg, (1, 2, 3))
+    z = (1.0, 1.0, 1.0, 0.1)
+    good, bad, worse = (0.377, 0.211, 0.613), (1.0, 2.0, 3.0), (2.0, 2.0, 3.0)
+    with pytest.raises(BadDimensions):
+        series.gamma_series_pair(cfg, s, (0.0, 1.0, 1.0, 0.1), bad, worse, 6)
+    with pytest.raises(BadDimensions):
+        series.gamma_series_pair(cfg, s, z, bad, (math.nan, 0.2, 0.6), 6)
+    with pytest.raises(NonGenericParameter,
+                       match=re.escape(f"delta={bad} ")) as plus:
+        series.gamma_series_pair(cfg, s, z, bad, worse, 6)
+    with pytest.raises(NonGenericParameter) as single:
+        series.gamma_series(cfg, s, None, z, bad, 6)
+    assert str(plus.value) == str(single.value)
+    with pytest.raises(NonGenericParameter,
+                       match=re.escape(f"delta={worse} ")) as minus:
+        series.gamma_series_pair(cfg, s, z, good, worse, 6)
+    with pytest.raises(NonGenericParameter) as single:
+        series.dual_gamma_series(cfg, s, None, z, worse, 6)
+    assert str(minus.value) == str(single.value)
 
 
 def test_series_exponent_is_signed_u0():
