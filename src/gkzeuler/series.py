@@ -2,12 +2,13 @@
 to a simplex, convergence-domain point sampling, and the simplex
 transformation matrices.
 
-Terms are evaluated in log-space (complex log-Gamma, once per distinct
-argument) over blocks of consecutive shells of the graded-lex order, and
-summed shell by shell with compensated accumulation, so results are
-deterministic.  The series of a simplex that a quadratic relation pairs,
-phi and phi^vee, share one pass over the shells.  All complex powers use
-the principal logarithm.
+Terms are evaluated in log-space over blocks of consecutive shells of the
+graded-lex order, and summed shell by shell with compensated accumulation,
+so results are deterministic.  The Gamma arguments of a term w are
+c - (C_int w) / r, with C_int w exact integers; each series takes its
+complex log-Gamma once per pass, as a table indexed by those integers.  The
+series of a simplex that a quadratic relation pairs, phi and phi^vee, share
+one pass over the shells.  All complex powers use the principal logarithm.
 """
 
 import cmath
@@ -26,6 +27,7 @@ from .triangulation import Simplex, make_simplex
 
 _POLE_TOL = 1e-12
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
+_TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,21 @@ def _blocks(shells):
 
 
 class _Job:
-    """One series of a `_sum_series` pass: its Gamma arguments c, the
+    """One series of a `_sum_series` pass: its log-Gamma table, the
     prefactor z_sigma^(-+u0) and the compensated sum of its shells."""
 
-    def __init__(self, simplex, logz_sigma, delta, dual):
+    def __init__(self, simplex, logz_sigma, delta, dual, sizes, wc):
         u0 = (simplex.inv_float     # A_sigma^{-1} delta
               @ np.asarray([complex(x) for x in delta])[:, None]).ravel()
         sign = 1.0 if dual else -1.0
         self.dual = dual
-        self.c = 1.0 + u0 if dual else 1.0 - u0
+        # the Gamma argument c_i - wc of every entry of the pass's table;
+        # terms that land on a Gamma pole are snapped to 0
+        E = np.repeat(1.0 + u0 if dual else 1.0 - u0, sizes) - wc
+        pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
+            & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
+        self.log_gamma = loggamma(np.where(pole, 1.0, E))
+        self.pole = pole if pole.any() else None
         self.exponent = tuple(sign * u0)
         self.log_prefactor = sign * complex(u0 @ logz_sigma)
         self.total = 0j
@@ -134,11 +142,13 @@ class _Job:
 def _sum_series(cfg, simplex, kvec, z, M, jobs):
     """The series (delta, dual) of `jobs` on one simplex, in one pass.
 
-    Per block of shells, W @ C^T, the log-monomials over the factorials and
-    the distinct entries of each column of W @ C^T are computed once and
-    shared; each series then takes its own log-Gamma, phases and
-    compensated shell sums.  Very-genericity is checked once per distinct
-    delta, in the order of `jobs`.
+    The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
+    in exact integers.  Each series takes one complex log-Gamma per integer
+    of the range of each K_i, once per pass; a block of shells reads them at
+    the entries of W @ C_int^T.  The log-monomials over the factorials are
+    computed once per block and shared; each series then takes its own
+    phases and compensated shell sums.  Very-genericity is checked once per
+    distinct delta, in the order of `jobs`.
     """
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
@@ -151,6 +161,12 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
         raise BadDimensions("z lies in (C*)^N: no entry may be zero")
     if not all(cmath.isfinite(x) for delta, _ in jobs for x in (*z, *delta)):
         raise BadDimensions("z and delta need finite entries")
+    # as w >= 0 and |w| <= M, K_i lies in [lo_i, lo_i + sizes_i)
+    lo = M * simplex.C_int.min(axis=1, initial=0)
+    sizes = M * simplex.C_int.max(axis=1, initial=0) - lo + 1
+    if sizes.sum() > _TABLE_MAX:
+        raise BadDimensions(f"order {M} at sigma={sigma} needs a log-Gamma "
+                            f"table of {sizes.sum()} > {_TABLE_MAX} entries")
     checked = set()
     for delta, _ in jobs:
         if tuple(delta) in checked:
@@ -159,12 +175,16 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
             raise NonGenericParameter(
                 f"delta={delta} hits an integer entry for sigma={sigma}")
         checked.add(tuple(delta))
+    C_int, sizes = simplex.C_int.astype(np.int64), sizes.astype(np.int64)
+    offset = np.cumsum(sizes) - sizes - lo.astype(np.int64)   # at = K + offset
+    wc = (np.arange(sizes.sum()) - np.repeat(offset, sizes)) / simplex.r
     z = np.asarray([complex(x) for x in z])
     logz = np.log(z)
     logz_sigma = np.array([logz[j - 1] for j in sigma])
     logx = np.array([logz[j - 1] for j in sigma_bar]) \
         - (C.T @ logz_sigma[:, None]).ravel()
-    jobs = [_Job(simplex, logz_sigma, delta, dual) for delta, dual in jobs]
+    jobs = [_Job(simplex, logz_sigma, delta, dual, sizes, wc)
+            for delta, dual in jobs]
     # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
     bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
     srow = C[simplex.pos0, :].sum(axis=0)
@@ -173,31 +193,19 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
     for block in _blocks(lattice_shells(cfg, simplex, kvec, M)):
         W = np.concatenate(block)
         Wf = W.astype(float)
-        WC = Wf @ C.T
         logmono = Wf @ logx - log_factorial[W].sum(axis=1)
-        # The Gamma arguments E = c - WC take one log-Gamma per distinct entry
-        # of a column of WC: the distinct entries of all columns lie end to
-        # end in wc, and at[:, i] points each row's entry of column i there
-        columns = [np.unique(col, return_inverse=True) for col in WC.T]
-        sizes = [len(u) for u, _ in columns]
-        wc = np.concatenate([u for u, _ in columns])
-        at = np.column_stack([inv + off for (_, inv), off in
-                              zip(columns, np.cumsum(sizes) - sizes)])
+        at = W @ C_int.T + offset     # each term's table entry, per column
         ends = np.cumsum([len(shell) for shell in block]).tolist()
         shells = list(zip([0] + ends[:-1], ends))     # rows of each shell
         for job in jobs:
-            E = np.repeat(job.c, sizes) - wc
-            # terms that land on a Gamma pole are snapped to 0
-            pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
-                & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-            logt = logmono - loggamma(np.where(pole, 1.0, E))[at].sum(axis=1)
+            logt = logmono - job.log_gamma[at].sum(axis=1)
             if job.dual:
                 logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0
                                         else 0.0)
                 logt += 1j * math.pi * (Wf @ srow)
             t = np.exp(logt)
-            if pole.any():
-                t[pole[at].any(axis=1)] = 0.0
+            if job.pole is not None:
+                t[job.pole[at].any(axis=1)] = 0.0
             job.add_block(t, shells)
     return [job.result(sigma, M) for job in jobs]
 

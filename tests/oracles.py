@@ -3,14 +3,16 @@ classical quadratic relations of the Gauss and Kummer series by direct
 truncated summation, a cofactor-expansion determinant, the Pochhammer
 reflection identity, the lifting criterion in Fraction arithmetic, the
 secondary-fan scan with one validation per lifting, a recursive graded-lex
-enumerator and the Gamma-series summed one shell at a time."""
+enumerator, the Gamma-series summed one shell at a time and the Gamma-series
+summed term by term in mpmath with exact Gamma arguments."""
 
 import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 from scipy.special import gammaln, loggamma
 
@@ -206,3 +208,52 @@ def series_by_shell(cfg, simplex, kvec, z, delta, M, dual):
         total = new_total
     value = cmath.exp(log_prefactor) * total
     return value, tuple(shell_maxes), terms, abs(total)
+
+
+def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
+    """The truncated Gamma-series (or its dual) of a simplex, term by term in
+    30-digit mpmath over w in the box [0, M]^q with |w| <= M.  C = A_sigma^{-1}
+    A_sigma_bar, the congruence C (w - k) in Z^d and the parts C w of the
+    Gamma arguments 1 -+ u0 - C w are exact Fractions."""
+    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
+    q, d = len(sigma_bar), cfg.d
+    C = intlinalg.mat_mul([list(row) for row in simplex.inv],
+                          cfg.submatrix(sigma_bar))
+    kvec = list(kvec) if kvec is not None else [0] * q
+    bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
+    idx0 = [i for i, j in enumerate(simplex.indices) if j in cfg.blocks[0]]
+    sgn = 1 if dual else -1
+    with mpmath.workdps(30):
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        zc = [mpmath.mpc(complex(x)) for x in z]
+        u0 = [sum(mp(simplex.inv[i][c]) * mpmath.mpc(complex(delta[c]))
+                  for c in range(d)) for i in range(d)]
+        total = mpmath.mpc(0)
+        for w in product(range(M + 1), repeat=q):
+            if sum(w) > M:
+                continue
+            m = [wi - ki for wi, ki in zip(w, kvec)]
+            if any(x.denominator != 1 for x in intlinalg.mat_vec(C, m)):
+                continue
+            cw = intlinalg.mat_vec(C, list(w))
+            term = mpmath.mpc(1)
+            for p, j in enumerate(sigma_bar):
+                term *= mpmath.power(zc[j - 1], w[p]) / mpmath.factorial(w[p])
+            for i in range(d):
+                arg = 1 + sgn * u0[i] - mp(cw[i])
+                if abs(arg.imag) < 1e-12 and abs(arg.real - mpmath.nint(
+                        arg.real)) < 1e-12 and mpmath.nint(arg.real) <= 0:
+                    term = mpmath.mpc(0)
+                    break
+                # 1 / Gamma(arg), with the summand pulled back to z
+                term *= mpmath.power(zc[simplex.indices[i] - 1], -mp(cw[i])) \
+                    * mpmath.rgamma(arg)
+            if dual:
+                phase = sum(w[p] for p in bar0) + sum(cw[i] for i in idx0)
+                term *= mpmath.expjpi(mp(Fraction(phase)))
+            total += term
+        for i, j in enumerate(simplex.indices):
+            total *= mpmath.power(zc[j - 1], sgn * u0[i])
+        return complex(total)

@@ -147,9 +147,16 @@ def test_series_bad_sigma(capsys, sigma):
     "ladders --k 2 --n 5 --ctilde=1,2",
     "ladders --k 2 --n 5 --ctilde=1,2,3,4,5,6,7,8",
     "ladders --k 2 --n 5 --confluent --ctilde=1,2,3,4,5,6,7",
+    # the log-Gamma table of one series pass has a bounded size: the volume
+    # 10^6 simplex needs 8 * 10^6 + 2 entries at order 8
+    "series --config {huge} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
+    "--order 8",
 ])
-def test_bad_input_exits_two(capsys, argv):
-    code = cli.main(argv.split())
+def test_bad_input_exits_two(capsys, tmp_path, argv):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"k": 1, "n": 1,
+                                "blocks": [[], [[0, 10 ** 6, 1]]]}))
+    code = cli.main(argv.format(huge=huge).split())
     captured = capsys.readouterr()
     assert code == cli.EXIT_BAD_INPUT
     assert captured.out == ""

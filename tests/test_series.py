@@ -7,12 +7,11 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from itertools import product
 
-import mpmath
 import numpy as np
 import pytest
-from oracles import graded_lex_recursive, series_by_shell
+from oracles import (graded_lex_recursive, series_by_direct_sum,
+                     series_by_shell)
 
 from gkzeuler import config, intersection, intlinalg, series, triangulation
 from gkzeuler.errors import (BadDimensions, DivergentTail,
@@ -68,57 +67,6 @@ def test_lattice_shell_congruence_is_exact():
             assert all(x.denominator == 1 for x in img)
 
 
-def _direct_series(cfg, sigma, kvec, z, delta, M, dual):
-    """Brute-force reference evaluation with mpmath, term by term."""
-    s = sigma if isinstance(sigma, triangulation.Simplex) \
-        else triangulation.make_simplex(cfg, sigma)
-    inv = [[Fraction(x) for x in row] for row in s.inv]
-    sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
-    q = len(sigma_bar)
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
-    u0 = [sum(complex(inv[r][c]) * complex(delta[c]) for c in range(cfg.d))
-          for r in range(cfg.d)]
-    kvec = list(kvec) if kvec is not None else [0] * q
-    sgn = 1.0 if dual else -1.0
-    pref = 1.0 + 0j
-    for p, j in enumerate(s.indices):
-        pref *= complex(mpmath.power(complex(z[j - 1]), sgn * u0[p]))
-    bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-    idx0 = [p for p, j in enumerate(s.indices) if j in cfg.blocks[0]]
-    total = mpmath.mpc(0)
-    for w in product(range(M + 1), repeat=q):
-        if sum(w) > M:
-            continue
-        m = [wi - ki for wi, ki in zip(w, kvec)]
-        img = intlinalg.mat_vec(C, m)
-        if any(x.denominator != 1 for x in img):
-            continue
-        term = mpmath.mpc(1)
-        for p, j in enumerate(sigma_bar):
-            term *= mpmath.power(complex(z[j - 1]), w[p])
-            term /= mpmath.factorial(w[p])
-        for r in range(cfg.d):
-            cw = sum(complex(C[r][p]) * w[p] for p in range(q))
-            arg = 1.0 + sgn * u0[r] - cw
-            if abs(arg.imag) < 1e-12 and abs(arg.real - round(arg.real)) < 1e-12 \
-                    and round(arg.real) <= 0:
-                term = mpmath.mpc(0)
-                break
-            term /= mpmath.gamma(arg)
-        if dual and term != 0:
-            phase = sum(w[p] for p in bar0)
-            for p0 in idx0:
-                phase += sum(complex(C[p0][p]).real * w[p] for p in range(q))
-            term *= mpmath.exp(1j * mpmath.pi * phase)
-        if term != 0:
-            # pull the summand coordinates back to the z variables
-            for r in range(cfg.d):
-                cw = sum(complex(C[r][p]) * w[p] for p in range(q))
-                term *= mpmath.power(complex(z[s.indices[r] - 1]), -cw)
-        total += term
-    return pref * complex(total)
-
-
 @pytest.mark.parametrize("dual", [False, True])
 def test_series_matches_direct_summation_unimodular(dual):
     cfg = config.get_config("gauss")
@@ -127,7 +75,8 @@ def test_series_matches_direct_summation_unimodular(dual):
     z = [1.0, 1.0, 1.0, 0.21]
     fn = series.dual_gamma_series if dual else series.gamma_series
     got = fn(cfg, sigma, None, z, delta, 18)
-    want = _direct_series(cfg, sigma, None, z, delta, 18, dual)
+    want = series_by_direct_sum(
+        cfg, triangulation.make_simplex(cfg, sigma), None, z, delta, 18, dual)
     assert abs(got.value - want) <= 1e-12 * abs(want)
 
 
@@ -143,8 +92,40 @@ def test_series_matches_direct_summation_with_cosets(dual):
     fn = series.dual_gamma_series if dual else series.gamma_series
     for kvec in kreps:
         got = fn(cfg, s, kvec, z, delta, 16)
-        want = _direct_series(cfg, s, kvec, z, delta, 16, dual)
+        want = series_by_direct_sum(cfg, s, kvec, z, delta, 16, dual)
         assert abs(got.value - want) <= 1e-11 * max(abs(want), 1e-30)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_series_at_volume_three_matches_exact_arguments(dual):
+    # sigma = (1, 2) has volume 3 and C = (2/3, 1/3), so no float grid
+    # W @ C^T is exact; the Gamma arguments c - K / 3 are read from the
+    # integers K = W @ C_int^T, on every coset
+    cfg = config.build_cayley(1, 1, [[], [[0, 3, 1]]])
+    s = triangulation.make_simplex(cfg, (1, 2))
+    assert s.r == 3
+    z = (1.0, 1.0, 0.5)
+    fn = series.dual_gamma_series if dual else series.gamma_series
+    for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
+        for kvec in intlinalg.coset_representatives(s.C, s.r):
+            got = fn(cfg, s, kvec, z, delta, 30)
+            want = series_by_direct_sum(cfg, s, kvec, z, delta, 30, dual)
+            assert abs(got.value - want) <= 1e-12 * abs(want), (delta, kvec)
+
+
+def test_registry_gamma_grid_is_exact_in_floats():
+    # every registry simplex has volume 1 or 2, so K / r with K = W @ C_int^T
+    # equals the float product W @ C_float^T bit for bit: the log-Gamma table
+    # gives registry series the arguments a float grid gives them
+    for name in config.registry_names():
+        cfg = config.get_config(name)
+        for s in triangulation._table(cfg).simplices:
+            W = np.concatenate([W for _, W in
+                                intlinalg.graded_lex_shells(len(s.bar), 12)])
+            K = W @ s.C_int.astype(np.int64).T
+            assert (K / s.r).tobytes() \
+                == (W.astype(float) @ s.C_float.T).tobytes(), \
+                (name, s.indices)
 
 
 def _block_reference_inputs():
