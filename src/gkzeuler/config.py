@@ -9,8 +9,8 @@ polynomial factor.
 
 Very-genericity of a parameter vector is only checkable up to a finite scan
 bound (the defining condition quantifies over all of Z_{>=0}^{sigma-bar});
-we scan graded degrees up to a configurable bound, which catches accidental
-integrality for the random parameters used in verification.
+we scan graded degrees up to 2, which catches accidental integrality for the
+random parameters used in verification.
 """
 
 import warnings
@@ -163,11 +163,11 @@ def confluent_config(k, n):
                   name=f"confluent({k},{n})", pairs=tuple(pairs))
 
 
-def is_very_generic(simplex, delta, bound=2):
+def is_very_generic(simplex, delta):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
-    within 1e-9 of an integer for all m >= 0 with |m| <= bound."""
+    within 1e-9 of an integer for all m >= 0 with |m| <= 2."""
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    for _, W in intlinalg.graded_lex_shells(len(simplex.bar), bound):
+    for _, W in intlinalg.graded_lex_shells(len(simplex.bar), 2):
         ent = u0[None, :] + W.astype(float) @ simplex.C_float.T
         near = (np.abs(ent.real - np.round(ent.real)) < 1e-9) \
             & (np.abs(ent.imag) < 1e-9)

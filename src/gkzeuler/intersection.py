@@ -381,7 +381,8 @@ def _case_e36c(rng):
                 z=z, rhs=1.0 / (c1 * c2), order=24, tol=1e-8)
 
 
-def _case_ag(rng, k=1, n=4):
+def _case_ag(rng):
+    k, n = 1, 4
     cfg = aomoto_gelfand_config(k, n)
     ctail = _small_params(rng, n, 0.12, 0.88)
     c = ctail[:k]

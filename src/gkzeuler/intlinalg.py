@@ -1,8 +1,9 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are plain lists of lists (row-major).  Integer matrices hold Python
-ints, rational ones hold fractions.Fraction; both are arbitrary precision so
-no intermediate swell can overflow.
+Matrices are plain lists of lists (row-major) of Python ints, which are
+arbitrary precision, so no intermediate swell can overflow.  One
+fraction-free elimination (adjugate) gives the determinant, the adjugate
+and, as Fractions adj / det, the inverse.
 """
 
 from fractions import Fraction
@@ -125,60 +126,48 @@ def snf_divisors(M):
     return [S[i][i] for i in range(n) if S[i][i] != 0]
 
 
-def det_bareiss(M):
-    """Exact integer determinant via fraction-free (Bareiss) elimination."""
+def adjugate(M):
+    """(adj M, det M) of a square integer matrix M, where adj M = det M *
+    M^{-1}, by one fraction-free (Bareiss) Gauss-Jordan elimination of
+    [M | I]: every division is exact, so every entry stays an integer.
+    Raises SingularMatrix when det M = 0."""
     n, m = shape(M)
-    assert n == m, "determinant needs a square matrix"
-    if n == 0:
-        return 1
-    A = _copy(M)
+    assert n == m, "adjugate needs a square matrix"
+    A = [list(row) + e for row, e in zip(M, identity(n))]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            raise SingularMatrix("matrix is singular")
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p = A[k][k]
+        for i in range(n):
+            if i != k:
+                a = A[i][k]
+                A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], A[k])]
+        prev = p
+    # A is now [prev I | prev M^{-1}], with prev = sign * det M
+    return [[sign * x for x in row[n:]] for row in A], sign * prev
+
+
+def det_bareiss(M):
+    """Exact integer determinant of a square integer matrix, 0 when
+    singular; see adjugate."""
+    try:
+        return adjugate(M)[1]
+    except SingularMatrix:
+        return 0
 
 
 def rat_inverse(M):
-    """Exact inverse of a square integer (or rational) matrix.
-
-    Returns (inv, det) where det is the exact integer determinant (computed
-    fraction-free) and inv has Fraction entries.  Raises SingularMatrix when
-    det = 0.
-    """
-    n, m = shape(M)
-    assert n == m
-    det = det_bareiss(M)
-    if det == 0:
-        raise SingularMatrix("matrix is singular")
-    A = [[Fraction(x) for x in row] for row in M]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        p = A[col][col]
-        A[col] = [x / p for x in A[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv, det
+    """(M^{-1}, det M) for a square integer matrix M: the inverse has
+    Fraction entries adj M / det M; see adjugate.  Raises SingularMatrix
+    when det M = 0."""
+    adj, det = adjugate(M)
+    return [[Fraction(a, det) for a in row] for row in adj], det
 
 
 def graded_lex_shells(q, M):
@@ -215,30 +204,30 @@ def graded_lex_vectors(dim, degree):
             yield from map(tuple, W.tolist())
 
 
-def coset_representatives(M, count):
+def coset_representatives(M, r):
     """The first member, in graded-lex order over k in Z_{>=0}^q, of each of
-    the `count` classes of (M k) mod 1, for a rational d x q matrix M.
+    the r classes of (M k) mod r, for an integer d x q matrix M.
 
-    A simplex needs two such sets: M = A_sigma^{-1} A_{sigma-bar} gives the
-    classes [A_{sigma-bar} k] of Z^d / Z A_sigma, and M = A_sigma^{-T} those
-    of Z^sigma / Z A_sigma^T; both have |det A_sigma| classes.  Each class
-    is hit by small k, so the search stops after a few degrees; it raises
-    ExhaustedRetries if it does not.
+    A simplex needs two such sets, with r = |det A_sigma|: M = C_int =
+    r A_sigma^{-1} A_{sigma-bar} gives the classes [A_{sigma-bar} k] of
+    Z^d / Z A_sigma, and M = r A_sigma^{-T} those of Z^sigma / Z A_sigma^T;
+    both have r classes.  Each class is hit by small k, so the search stops
+    after a few degrees; it raises ExhaustedRetries if it does not.
     """
     q = shape(M)[1]
     reps = []
     seen = set()
     degree = 0
-    while len(reps) < count:
-        if degree > 4 * count + 4:
+    while len(reps) < r:
+        if degree > 4 * r + 4:
             raise ExhaustedRetries(
-                f"coset search found {len(reps)} of {count} classes")
+                f"coset search found {len(reps)} of {r} classes")
         for k in graded_lex_vectors(q, degree):
-            frac = tuple(x % 1 for x in mat_vec(M, list(k)))
-            if frac not in seen:
-                seen.add(frac)
+            residue = tuple(x % r for x in mat_vec(M, list(k)))
+            if residue not in seen:
+                seen.add(residue)
                 reps.append(list(k))
-                if len(reps) == count:
+                if len(reps) == r:
                     break
         degree += 1
     return reps

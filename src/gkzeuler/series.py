@@ -22,10 +22,9 @@ from .errors import (BadDimensions, DivergentTail, NonGenericParameter,
                      ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
-from .specfun import gamma
+from .specfun import _POLE_TOL, gamma
 from .triangulation import Simplex, make_simplex
 
-_POLE_TOL = 1e-12
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
 _TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
 
@@ -326,9 +325,11 @@ def _transformation(cfg, sigma, delta, dual):
         raise NonGenericParameter(
             f"delta={delta} is not very generic for sigma={simplex.indices}")
     r, C = simplex.r, simplex.C_float
-    kreps = intlinalg.coset_representatives(simplex.C, r)
+    sign = 1 if simplex.det > 0 else -1
+    kreps = intlinalg.coset_representatives(simplex.C_int.tolist(), r)
+    # r A_sigma^{-T} = sign(det) adj^T
     ktreps = intlinalg.coset_representatives(
-        [list(col) for col in zip(*simplex.inv)], r)
+        [[sign * a for a in col] for col in zip(*simplex.adj)], r)
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
     sgn_phase = -1.0 if dual else 1.0
     diag1 = [cmath.exp(sgn_phase * 2j * math.pi

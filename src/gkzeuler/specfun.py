@@ -16,10 +16,10 @@ from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
 _POLE_TOL = 1e-12
 
 
-def _is_nonpositive_integer(z, tol=_POLE_TOL):
+def _is_nonpositive_integer(z):
     z = complex(z)
     n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= tol and abs(z.imag) <= tol
+    return n <= 0 and abs(z.real - n) <= _POLE_TOL and abs(z.imag) <= _POLE_TOL
 
 
 def gamma(z):

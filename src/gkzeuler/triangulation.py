@@ -7,9 +7,12 @@ Simplices carry 1-based column indices matching the usual labels (e.g.
 independently computed normalized volume plus a random-ray multiplicity
 test; failures raise NotATriangulation instead of proceeding silently.
 
-What depends on the configuration alone is computed once per configuration
-and kept in a table: every nonsingular d-subset as a Simplex (with its
-integer view C_int), whether the configuration is homogeneous, and its
+A Simplex holds exact integers only: det A_sigma, its adjugate
+adj = det A_sigma^{-1} from one fraction-free elimination, and
+C_int = r A_sigma^{-1} A_sigma-bar; its float views are correctly rounded
+quotients of them by r = |det|.  What depends on the configuration alone is
+computed once per configuration and kept in a table: every nonsingular
+d-subset as a Simplex, whether the configuration is homogeneous, and its
 normalized volume.  A lifting is then tested against the table with integer
 products only.  A secondary-fan scan validates each distinct index set once,
 and a triangulation given by explicit index sets is built and validated once
@@ -17,7 +20,7 @@ per (configuration, index sets, seed).
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -32,10 +35,12 @@ from . import intlinalg
 class Simplex:
     indices: tuple          # sorted 1-based column indices, length d
     det: int                # det A_sigma
-    inv: tuple              # A_sigma^{-1}, tuple of tuples of Fractions
+    adj: tuple              # adj A_sigma = det * A_sigma^{-1}, tuples of ints
     blocks: tuple           # sigma^(0), ..., sigma^(k)
     bar: tuple              # sigma-bar: the 1-based columns outside sigma
-    C: tuple                # A_sigma^{-1} A_sigma-bar, d x |bar| Fractions
+    # r A_sigma^{-1} A_sigma-bar = sign(det) adj A_sigma-bar, d x |bar|, an
+    # object array of Python ints; fixed by the fields above
+    C_int: np.ndarray = field(compare=False)
 
     @property
     def r(self):
@@ -43,20 +48,18 @@ class Simplex:
 
     @cached_property
     def inv_float(self):
-        """A_sigma^{-1} as a float array, the numeric view every series and
-        weight evaluation reads."""
-        return np.array([[float(x) for x in row] for row in self.inv])
+        """A_sigma^{-1} = sign(det) adj / r as a float array, the numeric
+        view every series and weight evaluation reads; each entry is one
+        correctly rounded division, and a zero entry is +0.0."""
+        sign = 1 if self.det > 0 else -1
+        return np.array([[sign * a / self.r for a in row]
+                         for row in self.adj])
 
     @cached_property
     def C_float(self):
-        """C as a float array of shape (d, |bar|)."""
-        return np.array([[float(x) for x in row] for row in self.C])
-
-    @cached_property
-    def C_int(self):
-        """The integer matrix r * C, for the exact congruence mod r."""
-        return np.array([[int(x * self.r) for x in row] for row in self.C],
-                        dtype=object)
+        """C = A_sigma^{-1} A_sigma-bar = C_int / r as a float array of shape
+        (d, |bar|), each entry one correctly rounded division."""
+        return np.array([[x / self.r for x in row] for row in self.C_int])
 
     @cached_property
     def pos0(self):
@@ -67,7 +70,7 @@ class Simplex:
 @dataclass(frozen=True)
 class Triangulation:
     simplices: tuple        # tuple of Simplex, sorted by indices
-    omega: tuple            # lifting vector (may be None entries-free tuple)
+    omega: tuple            # the lifting vector; () for explicit index sets
     convergent: bool
     unimodular: bool
 
@@ -77,26 +80,28 @@ class Triangulation:
 
 def make_simplex(cfg, indices):
     """The simplex on d distinct 1-based column indices of cfg, with its
-    derived view filled in; raises SingularMatrix when det A_sigma = 0."""
+    exact integer data; raises SingularMatrix when det A_sigma = 0."""
     indices = tuple(sorted(indices))
     if len(indices) != cfg.d or len(set(indices)) != cfg.d \
             or not all(1 <= j <= cfg.N for j in indices):
         raise BadDimensions(f"a simplex needs {cfg.d} distinct column "
                             f"indices in 1..{cfg.N}, got {indices}")
-    inv, det = intlinalg.rat_inverse(cfg.submatrix(indices))
+    adj, det = intlinalg.adjugate(cfg.submatrix(indices))
     blocks = tuple(tuple(j for j in indices if j in blk) for blk in cfg.blocks)
     bar = tuple(j for j in range(1, cfg.N + 1) if j not in indices)
-    C = intlinalg.mat_mul(inv, cfg.submatrix(bar))
+    r_inv = adj if det > 0 else [[-a for a in row] for row in adj]
+    C_int = np.array(intlinalg.mat_mul(r_inv, cfg.submatrix(bar)),
+                     dtype=object)
     return Simplex(indices=indices, det=det,
-                   inv=tuple(tuple(row) for row in inv), blocks=blocks,
-                   bar=bar, C=tuple(tuple(row) for row in C))
+                   adj=tuple(tuple(row) for row in adj), blocks=blocks,
+                   bar=bar, C_int=C_int)
 
 
 def _triangulate_raw(cfg, omega):
     """Simplices of T(omega) without validation, in the table's order.  sigma
     is a cell iff omega_sigma C < omega_j for every column j outside sigma;
     both sides are scaled by r so the test reads the integers C_int.  omega
-    holds ints or Fractions."""
+    holds integers or rationals."""
     if len(omega) != cfg.N:
         raise BadDimensions(f"omega length {len(omega)} != {cfg.N}")
     out = []
@@ -169,7 +174,6 @@ class _ConfigTable:
                 s = make_simplex(self.cfg, sigma)
             except SingularMatrix:
                 continue
-            s.C_int             # fill the view every lifting test reads
             out.append(s)
         return tuple(out)
 
@@ -262,20 +266,6 @@ def _from_simplices(cfg, index_sets, seed):
     # a raised NotATriangulation is not cached: the next call raises again
     return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], (),
                       seed)
-
-
-def sample_interior_lifting(cfg, seed=0):
-    """A random integer lifting for which triangulate succeeds without
-    degeneracy."""
-    rng = random.Random(seed)
-    for _ in range(1000):
-        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
-        try:
-            _triangulate_raw(cfg, omega)
-        except DegenerateLifting:
-            continue
-        return omega
-    raise ExhaustedRetries("no generic lifting found in 1000 tries")
 
 
 def enumerate_regular_triangulations(cfg, samples=500, seed=0):

@@ -217,8 +217,8 @@ def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
     Gamma arguments 1 -+ u0 - C w are exact Fractions."""
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
     q, d = len(sigma_bar), cfg.d
-    C = intlinalg.mat_mul([list(row) for row in simplex.inv],
-                          cfg.submatrix(sigma_bar))
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(simplex.indices))
+    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
     kvec = list(kvec) if kvec is not None else [0] * q
     bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
     idx0 = [i for i, j in enumerate(simplex.indices) if j in cfg.blocks[0]]
@@ -228,7 +228,7 @@ def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
             return mpmath.mpf(x.numerator) / x.denominator
 
         zc = [mpmath.mpc(complex(x)) for x in z]
-        u0 = [sum(mp(simplex.inv[i][c]) * mpmath.mpc(complex(delta[c]))
+        u0 = [sum(mp(inv[i][c]) * mpmath.mpc(complex(delta[c]))
                   for c in range(d)) for i in range(d)]
         total = mpmath.mpc(0)
         for w in product(range(M + 1), repeat=q):

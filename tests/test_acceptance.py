@@ -156,7 +156,7 @@ def test_ladder_exponents_match_matrix_inverse():
             sigma = triangulation.ladder_to_simplex(lad, cfg)
             s = triangulation.make_simplex(cfg, sigma)
             assert s.r == 1
-            v = [-sum(Fraction(s.inv[r][c]) * delta[c]
+            v = [-sum(Fraction(s.adj[r][c], s.det) * delta[c]
                       for c in range(cfg.d)) for r in range(cfg.d)]
             ex = triangulation.ladder_exponents(lad, ctilde)
             assert v == [ex[cfg.pairs[j - 1]] for j in s.indices]
@@ -171,7 +171,7 @@ def _staircase_exponent_vectors(cfg, delta, confluent):
                                                 confluent=confluent)
     out = []
     for s in tri.simplices:
-        out.append(tuple(-sum(Fraction(s.inv[r][c]) * delta[c]
+        out.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
                               for c in range(cfg.d))
                          for r in range(cfg.d)))
     return out
@@ -216,8 +216,10 @@ def test_lattice_coset_partition_to_degree_twenty():
     s = triangulation.make_simplex(cfg, (2, 3, 4))
     assert s.r == 2
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
-    C = intlinalg.mat_mul([list(r) for r in s.inv], cfg.submatrix(sigma_bar))
-    kreps = intlinalg.coset_representatives(C, s.r)
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
+    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    kreps = intlinalg.coset_representatives(
+        [[int(x * s.r) for x in row] for row in C], s.r)
     q = cfg.N - cfg.d
     shells = {tuple(k): dict(series.lattice_shells(cfg, s, k, 20))
               for k in kreps}
@@ -276,10 +278,11 @@ def test_monodromy_weights_are_exact():
     # the congruence defining each shifted lattice holds exactly over Q
     cfg = config.get_config("g1")
     s = triangulation.make_simplex(cfg, (2, 3, 4))
-    inv = [[Fraction(x) for x in row] for row in s.inv]
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
-    kreps = intlinalg.coset_representatives(C, s.r)
+    kreps = intlinalg.coset_representatives(
+        [[int(x * s.r) for x in row] for row in C], s.r)
     for kvec in kreps:
         for deg, W in series.lattice_shells(cfg, s, kvec, 15):
             for w in W:
@@ -291,9 +294,16 @@ def test_monodromy_weights_are_exact():
 # -- 11: full period matrix for the smallest hyperplane family ---------------
 
 def test_period_relation_matrix_e24():
+    # the parameters the "ag" case draws, taken on E(2, 4)
     rng = np.random.default_rng(0)
-    data = intersection.CASES["ag"](rng, k=1, n=3)
-    cfg, tri, delta, z = data["cfg"], data["tri"], data["delta"], data["z"]
+    cfg = config.aomoto_gelfand_config(1, 3)
+    c, g1, g2 = intersection._small_params(rng, 3, 0.12, 0.88)
+    delta = (-g1, -g2, c)
+    for _ in range(2):      # the case's two cocycle index sets, unused here
+        rng.choice(4, size=2, replace=False)
+    z = intersection._ag_grid_z(
+        cfg, [[intersection._uniform(rng, 0.04, 0.08)]])
+    tri = triangulation.staircase_triangulation(cfg, 1, 3)
     worst = intersection.period_relation_matrix_check(
         cfg, tri, delta, [(0, 1), (0, 2)], z, 40)
     assert worst < 1e-8, worst

@@ -151,6 +151,9 @@ def test_series_bad_sigma(capsys, sigma):
     # 10^6 simplex needs 8 * 10^6 + 2 entries at order 8
     "series --config {huge} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
     "--order 8",
+    # so does a pass at an order beyond any machine integer
+    "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613 "
+    "--z 1,1,1,0.05 --order 100000000000000000000",
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     huge = tmp_path / "huge.json"
@@ -179,6 +182,37 @@ def test_numeric_failure_exits_four(capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("numerical failure")
+
+
+def test_volume_beyond_int64_is_exact(capsys, tmp_path):
+    # det, adj and C_int are Python ints: simplex (1, 2) has volume 2^70,
+    # written as a decimal string
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 1, "n": 1,
+                                "blocks": [[], [[0, 2 ** 70, 1]]]}))
+    code, out = _run(capsys, ["triangulate", "--config", str(path),
+                              "--omega", "3,1,7"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["simplices"] == [[1, 2]]
+    assert doc["volumes"] == ["1180591620717411303424"]
+    code, out = _run(capsys, ["fan-scan", "--config", str(path),
+                              "--samples", "20"])
+    assert code == cli.EXIT_OK
+    assert [(t["simplices"], t["volumes"], t["convergent"], t["unimodular"])
+            for t in json.loads(out)["triangulations"]] == [
+        ([[1, 3], [2, 3]], [1, "1180591620717411303423"], True, False),
+        ([[1, 2]], ["1180591620717411303424"], True, False)]
+
+
+def test_series_kvec_beyond_int64_names_its_coset(capsys):
+    # kvec = (10^20 + 1, 0) lies in the coset of (1, 0) of the volume-2
+    # simplex, so the series is the same
+    base = ["series", "--config", "g1", "--sigma", "2,3,4",
+            "--delta", "0.3,0.2,0.6", "--z", "1,1,1,1,0.1", "--order", "8"]
+    code, huge = _run(capsys, base + ["--kvec", "100000000000000000001,0"])
+    assert code == cli.EXIT_OK
+    assert huge == _run(capsys, base + ["--kvec", "1,0"])[1]
 
 
 def test_series_kvec_of_right_length(capsys):

@@ -110,13 +110,13 @@ def test_is_very_generic_accepts_irrational_like_and_rejects_integral():
     sigma = (1, 2, 3)
     simplex = triangulation.make_simplex(cfg, sigma)
     good = [0.3141, 0.2718, 0.5772]
-    assert config.is_very_generic(simplex, good, bound=5)
+    assert config.is_very_generic(simplex, good)
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(list(sigma)))
     # delta = A_sigma * (integer vector) makes u0 integral
     bad = intlinalg.mat_vec([[float(x) for x in row]
                              for row in cfg.submatrix(list(sigma))],
                             [1.0, 2.0, 3.0])
-    assert not config.is_very_generic(simplex, bad, bound=5)
+    assert not config.is_very_generic(simplex, bad)
 
 
 def test_load_block_config_json():

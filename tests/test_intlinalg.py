@@ -89,8 +89,7 @@ def test_graded_lex_shells_match_recursive_oracle():
 
 
 def test_coset_search_raises_when_classes_run_out():
-    half = [[Fraction(1, 2)]]
-    assert intlinalg.coset_representatives(half, 2) == [[0], [1]]
-    # (k / 2) mod 1 takes two values, so a third class never appears
+    assert intlinalg.coset_representatives([[1]], 2) == [[0], [1]]
+    # 2k mod 4 takes two of the four values, so a third class never appears
     with pytest.raises(ExhaustedRetries):
-        intlinalg.coset_representatives(half, 3)
+        intlinalg.coset_representatives([[2]], 4)

@@ -6,7 +6,6 @@ import cmath
 import dataclasses
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,8 +28,10 @@ def _nonunimodular_simplex(cfg):
 def _coset_reps(cfg, s):
     """Representatives k of Z^d / Z A_sigma, read off A_sigma^{-1} A_bar."""
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
-    C = intlinalg.mat_mul([list(r) for r in s.inv], cfg.submatrix(sigma_bar))
-    return intlinalg.coset_representatives(C, s.r)
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
+    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    return intlinalg.coset_representatives(
+        [[int(x * s.r) for x in row] for row in C], s.r)
 
 
 def test_lattice_cosets_partition_the_orthant():
@@ -56,10 +57,11 @@ def test_lattice_cosets_partition_the_orthant():
 def test_lattice_shell_congruence_is_exact():
     cfg = config.get_config("g1")
     s = _nonunimodular_simplex(cfg)
-    inv = [[Fraction(x) for x in row] for row in s.inv]
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
-    kvec = intlinalg.coset_representatives(C, s.r)[1]
+    kvec = intlinalg.coset_representatives(
+        [[int(x * s.r) for x in row] for row in C], s.r)[1]
     for deg, W in series.lattice_shells(cfg, s, kvec, 12):
         for w in W:
             m = [int(wi) - ki for wi, ki in zip(w, kvec)]
@@ -107,7 +109,7 @@ def test_series_at_volume_three_matches_exact_arguments(dual):
     z = (1.0, 1.0, 0.5)
     fn = series.dual_gamma_series if dual else series.gamma_series
     for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
-        for kvec in intlinalg.coset_representatives(s.C, s.r):
+        for kvec in intlinalg.coset_representatives(s.C_int.tolist(), s.r):
             got = fn(cfg, s, kvec, z, delta, 30)
             want = series_by_direct_sum(cfg, s, kvec, z, delta, 30, dual)
             assert abs(got.value - want) <= 1e-12 * abs(want), (delta, kvec)
@@ -271,7 +273,8 @@ def test_series_exponent_is_signed_u0():
     sigma = (1, 2, 3)
     delta = [0.377, 0.211, 0.613]
     s = triangulation.make_simplex(cfg, sigma)
-    u0 = [sum(float(s.inv[r][c]) * delta[c] for c in range(cfg.d))
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(sigma))
+    u0 = [sum(float(inv[r][c]) * delta[c] for c in range(cfg.d))
           for r in range(cfg.d)]
     z = [1.0, 1.0, 1.0, 0.1]
     g = series.gamma_series(cfg, sigma, None, z, delta, 6)
@@ -330,7 +333,8 @@ def test_non_generic_parameter_rejected():
 
 def test_sample_point_in_ut():
     cfg = config.get_config("gauss")
-    omega = triangulation.sample_interior_lifting(cfg, seed=2)
+    omega = triangulation.enumerate_regular_triangulations(
+        cfg, samples=1, seed=2)[0].omega
     tri = triangulation.triangulate(cfg, omega)
     z = series.sample_point_in_UT(cfg, tri, t=12.0)
     assert len(z) == cfg.N

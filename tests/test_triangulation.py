@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gkzeuler import cli, config, intersection, intlinalg, triangulation
@@ -28,7 +29,8 @@ def test_is_homogeneous_on_registry():
 
 def test_triangulate_gauss_validated():
     cfg = config.get_config("gauss")
-    omega = triangulation.sample_interior_lifting(cfg, seed=1)
+    omega = triangulation.enumerate_regular_triangulations(
+        cfg, samples=1, seed=1)[0].omega
     tri = triangulation.triangulate(cfg, omega)
     assert sum(s.r for s in tri.simplices) == triangulation.normalized_volume(cfg)
     for s in tri.simplices:
@@ -157,7 +159,8 @@ def test_table_matches_fresh_simplices(monkeypatch, name):
 def test_sorting_a_raw_triangulation_leaves_the_table():
     cfg = config.get_config("e36")
     before = triangulation._table(cfg).simplices
-    omega = triangulation.sample_interior_lifting(cfg, seed=3)
+    omega = triangulation.enumerate_regular_triangulations(
+        cfg, samples=1, seed=3)[0].omega
     raw = triangulation._triangulate_raw(cfg, omega)
     raw.sort(key=lambda s: s.indices, reverse=True)
     assert raw[0].indices > raw[-1].indices
@@ -318,7 +321,8 @@ def test_ladder_exponent_formula_matches_exact_inverse(k, n):
     for lad in triangulation.enumerate_ladders(k, n):
         sigma = triangulation.ladder_to_simplex(lad, cfg)
         s = triangulation.make_simplex(cfg, sigma)
-        v = [-sum(Fraction(s.inv[r][c]) * delta[c] for c in range(cfg.d))
+        v = [-sum(Fraction(s.adj[r][c], s.det) * delta[c]
+                  for c in range(cfg.d))
              for r in range(cfg.d)]
         ex = triangulation.ladder_exponents(lad, ctilde)
         assert v == [ex[cfg.pairs[j - 1]] for j in s.indices]
@@ -334,7 +338,8 @@ def test_confluent_ladder_exponent_formula_matches_exact_inverse(k, n):
         sigma = triangulation.ladder_to_simplex(
             [c for c in lad if c != (0, n)], cfg)
         s = triangulation.make_simplex(cfg, sigma)
-        v = [-sum(Fraction(s.inv[r][c]) * delta[c] for c in range(cfg.d))
+        v = [-sum(Fraction(s.adj[r][c], s.det) * delta[c]
+                  for c in range(cfg.d))
              for r in range(cfg.d)]
         ex = triangulation.ladder_exponents(lad, ctilde, confluent=True)
         assert v == [ex[cfg.pairs[j - 1]] for j in s.indices]
@@ -362,7 +367,7 @@ def test_e36_staircase_exponent_vectors_match_reference():
     tri = triangulation.staircase_triangulation(cfg, 2, 5)
     got = []
     for s in tri.simplices:
-        got.append(tuple(-sum(Fraction(s.inv[r][c]) * delta[c]
+        got.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
                               for c in range(cfg.d)) for r in range(cfg.d)))
     assert _sorted_multiset(got) == _sorted_multiset(reference)
 
@@ -384,7 +389,7 @@ def test_e36c_staircase_exponent_vectors_match_reference():
     tri = triangulation.staircase_triangulation(cfg, 2, 5, confluent=True)
     got = []
     for s in tri.simplices:
-        got.append(tuple(-sum(Fraction(s.inv[r][c]) * delta[c]
+        got.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
                               for c in range(cfg.d)) for r in range(cfg.d)))
     assert _sorted_multiset(got) == _sorted_multiset(reference)
 
@@ -416,17 +421,39 @@ def test_simplex_view_matches_exact_products(name):
     convergent = True
     for s in tri.simplices:
         sigma_bar = tuple(j for j in range(1, cfg.N + 1) if j not in s.indices)
-        C = intlinalg.mat_mul([list(r) for r in s.inv],
-                              cfg.submatrix(sigma_bar))
+        inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
+        C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
         assert s.bar == sigma_bar
-        assert [list(row) for row in s.C] == C
         assert all((x * s.det).denominator == 1 for row in C for x in row)
         assert s.C_int.tolist() == [[int(x * s.r) for x in row] for row in C]
         assert s.C_float.shape == (cfg.d, len(sigma_bar))
         assert s.C_float.tolist() == [[float(x) for x in row] for row in C]
         assert [s.indices[p] for p in s.pos0] == list(s.blocks[0])
         convergent = convergent and all(
-            sum(intlinalg.mat_vec([list(r) for r in s.inv],
+            sum(intlinalg.mat_vec(inv,
                                   [row[j - 1] for row in cfg.matrix])) <= 1
             for j in sigma_bar)
     assert tri.convergent == convergent
+
+
+def _bits(a):
+    # tobytes tells -0.0 from 0.0, which tolist and == do not
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_table_simplex_views_are_exact_bit_for_bit(name):
+    # adj A_sigma = det I exactly, and each float view is the correctly
+    # rounded value of the exact rational reference, signed zeros included
+    cfg = config.get_config(name)
+    for s in triangulation._table(cfg).simplices:
+        A = cfg.submatrix(s.indices)
+        assert intlinalg.mat_mul([list(row) for row in s.adj], A) \
+            == [[s.det * (i == j) for j in range(cfg.d)] for i in range(cfg.d)]
+        inv, det = intlinalg.rat_inverse(A)
+        assert det == s.det
+        C = intlinalg.mat_mul(inv, cfg.submatrix(s.bar))
+        assert _bits(s.inv_float) \
+            == _bits(np.array([[float(x) for x in row] for row in inv]))
+        assert _bits(s.C_float) \
+            == _bits(np.array([[float(x) for x in row] for row in C]))
