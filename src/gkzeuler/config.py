@@ -56,10 +56,8 @@ def _freeze(rows):
 
 
 def check_full_lattice(matrix):
-    """True iff the columns span Z^d (all Smith divisors are 1)."""
-    rows = [list(r) for r in matrix]
-    divisors = intlinalg.snf_divisors(rows)
-    return len(divisors) == len(rows) and all(x == 1 for x in divisors)
+    """True iff the columns span Z^d, i.e. the lattice index is 1."""
+    return intlinalg.lattice_index(matrix) == 1
 
 
 def build_cayley(k, n, block_matrices, name=""):

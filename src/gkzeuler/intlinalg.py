@@ -3,7 +3,8 @@
 Matrices are plain lists of lists (row-major) of Python ints, which are
 arbitrary precision, so no intermediate swell can overflow.  One
 fraction-free elimination (adjugate) gives the determinant, the adjugate
-and, as Fractions adj / det, the inverse.
+and, as Fractions adj / det, the inverse; one column reduction
+(lattice_index) gives the index of the lattice spanned by the columns.
 """
 
 from fractions import Fraction
@@ -13,12 +14,8 @@ import numpy as np
 from .errors import ExhaustedRetries, SingularMatrix
 
 
-def _copy(M):
-    return [list(row) for row in M]
-
-
 def shape(M):
-    return len(M), len(M[0]) if M else 0
+    return len(M), len(M[0]) if len(M) else 0
 
 
 def identity(n):
@@ -37,93 +34,28 @@ def mat_vec(A, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
-def smith_normal_form(M):
-    """Smith normal form: returns (S, U, V) with U*M*V = S diagonal,
-    divisors d_1 | d_2 | ... , U and V unimodular."""
-    S = _copy(M)
-    nrows, ncols = shape(S)
-    U = identity(nrows)
-    V = identity(ncols)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # locate a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if S[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t by euclidean steps; restart if a remainder
-        # reappears (standard worklist loop, always terminates since |S[t][t]|
-        # strictly decreases)
-        while True:
-            again = False
-            for i in range(t + 1, nrows):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t] != 0:
-                        swap_rows(t, i)
-                        again = True
-            for j in range(t + 1, ncols):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j] != 0:
-                        swap_cols(t, j)
-                        again = True
-            if not again:
-                break
-        # enforce divisibility d_t | d_{t+1}...: fold any bad entry into col t
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if S[i][j] % S[t][t] != 0:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad is not None:
-            add_row(t, bad[0], 1)
-            continue
-        if S[t][t] < 0:
-            S[t] = [-a for a in S[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return S, U, V
-
-
-def snf_divisors(M):
-    S, _, _ = smith_normal_form(M)
-    n = min(shape(S))
-    return [S[i][i] for i in range(n) if S[i][i] != 0]
+def lattice_index(M):
+    """[Z^d : Z M] for an integer d x N matrix M, 0 when its rank is below
+    d.  A column Hermite reduction, one row at a time: Euclid steps reduce
+    every other live column by the live column with the smallest nonzero
+    |entry| in the row, until one live column is left nonzero there.  That
+    column is the pivot and leaves; the index is the product of |pivots|."""
+    cols = [list(col) for col in zip(*M)]
+    index = 1
+    for i in range(len(M)):
+        live = [col for col in cols if col[i] != 0]
+        while len(live) > 1:
+            p = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not p:
+                    q = col[i] // p[i]
+                    col[i:] = [a - q * b for a, b in zip(col[i:], p[i:])]
+            live = [col for col in live if col[i] != 0]
+        if not live:
+            return 0
+        index *= abs(live[0][i])
+        cols.remove(live[0])
+    return index
 
 
 def adjugate(M):

@@ -326,7 +326,7 @@ def _transformation(cfg, sigma, delta, dual):
             f"delta={delta} is not very generic for sigma={simplex.indices}")
     r, C = simplex.r, simplex.C_float
     sign = 1 if simplex.det > 0 else -1
-    kreps = intlinalg.coset_representatives(simplex.C_int.tolist(), r)
+    kreps = intlinalg.coset_representatives(simplex.C_int, r)
     # r A_sigma^{-T} = sign(det) adj^T
     ktreps = intlinalg.coset_representatives(
         [[sign * a for a in col] for col in zip(*simplex.adj)], r)

@@ -12,11 +12,12 @@ adj = det A_sigma^{-1} from one fraction-free elimination, and
 C_int = r A_sigma^{-1} A_sigma-bar; its float views are correctly rounded
 quotients of them by r = |det|.  What depends on the configuration alone is
 computed once per configuration and kept in a table: every nonsingular
-d-subset as a Simplex, whether the configuration is homogeneous, and its
-normalized volume.  A lifting is then tested against the table with integer
-products only.  A secondary-fan scan validates each distinct index set once,
-and a triangulation given by explicit index sets is built and validated once
-per (configuration, index sets, seed).
+d-subset as a Simplex, and the normalized volume; whether the configuration
+is homogeneous is read off the first simplex's C_int.  A lifting is then
+tested against the table with integer products only.  A secondary-fan scan
+validates each distinct index set once, and a triangulation given by
+explicit index sets is built and validated once per (configuration, index
+sets, seed).
 """
 
 import random
@@ -149,18 +150,19 @@ def _ray_test(cfg, simplices, rng):
 
 
 def is_homogeneous(cfg):
-    """True when the all-ones vector lies in the rational row span of the
-    configuration matrix, i.e. all columns lie on a common affine
-    hyperplane.  The sum of simplex volumes is a triangulation invariant
-    only in this case."""
-    rows = [list(r) for r in cfg.matrix]
-    return len(intlinalg.snf_divisors(rows)) \
-        == len(intlinalg.snf_divisors(rows + [[1] * cfg.N]))
+    """True when yA = 1 for some rational row vector y, i.e. all columns lie
+    on a common affine hyperplane.  For a nonsingular sigma, y must be
+    1 A_sigma^{-1}, so this holds iff every column of C sums to 1, i.e. every
+    column of C_int sums to r; the first simplex of the table decides.  The
+    sum of simplex volumes is a triangulation invariant only in this case."""
+    return all((s.C_int.sum(axis=0) == s.r).all()
+               for s in _table(cfg).simplices[:1])
 
 
 class _ConfigTable:
-    """What the triangulation layer derives from a configuration alone; each
-    part is computed on first use."""
+    """What the triangulation layer derives from a configuration alone: its
+    simplices (the first of which decides is_homogeneous) and its normalized
+    volume, each computed on first use."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -176,10 +178,6 @@ class _ConfigTable:
                 continue
             out.append(s)
         return tuple(out)
-
-    @cached_property
-    def homogeneous(self):
-        return is_homogeneous(self.cfg)
 
     @cached_property
     def volume(self):
@@ -229,7 +227,7 @@ def is_unimodular(simplices):
 def _validate(cfg, simplices, seed):
     """Raise NotATriangulation unless the simplices pass the volume sum (for
     a homogeneous configuration) and the random-ray multiplicity test."""
-    if _table(cfg).homogeneous:
+    if is_homogeneous(cfg):
         vol = sum(s.r for s in simplices)
         if vol != normalized_volume(cfg):
             raise NotATriangulation(

@@ -281,11 +281,12 @@ def test_entry_raises_system_exit():
         cli.entry()
 
 
-def _fresh(argv):
+def _fresh(argv, timeout=None):
     """(exit code, stdout, stderr) of the CLI in a new interpreter."""
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=_SRC)
     proc = subprocess.run([sys.executable, "-m", "gkzeuler.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -317,6 +318,30 @@ def test_one_parser_per_process_answers_like_fresh_processes(capsys,
     for argv, answer in zip((rejected, valid, ["--help"]),
                             (answers[0], answers[1], answers[3])):
         assert _fresh(argv) == answer, argv
+
+
+def test_lattice_check_of_large_entries_ends_promptly(tmp_path):
+    # the full-lattice check is one column reduction, so entries that grow
+    # under Euclid steps do not stall loading a config
+    cases = [
+        ({"k": 1, "n": 4, "blocks": [[], [[8, 2, 4, -5, -5, -9, 3],
+                                          [-8, 5, -4, 1, -3, -5, -8],
+                                          [-4, 7, 5, 3, 4, -5, 9],
+                                          [6, -2, 0, -9, 5, 5, 1]]]},
+         cli.EXIT_BAD_INPUT,
+         "bad input: columns do not span the full lattice\n"),
+        ({"k": 1, "n": 3, "blocks": [[], [
+            [-320874, 987817, -683647, -171996, 365108],
+            [-898737, -848091, 722337, 123826, -802595],
+            [-233095, 222195, -878368, 907787, 64169]]]},
+         cli.EXIT_OK, ""),
+    ]
+    for i, (doc, code, err) in enumerate(cases):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(doc))
+        answer = _fresh(["fan-scan", "--config", str(path), "--samples", "20"],
+                        timeout=20)
+        assert (answer[0], answer[2]) == (code, err), i
 
 
 @pytest.mark.parametrize("exc, code, prefix", [

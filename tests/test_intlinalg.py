@@ -1,6 +1,8 @@
 """Exact integer and rational linear algebra."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,20 +27,12 @@ square_matrices = st.integers(1, 4).flatmap(
 
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
-def test_snf_transform_and_divisibility(M):
-    S, U, V = intlinalg.smith_normal_form(M)
-    assert intlinalg.mat_mul(intlinalg.mat_mul(U, M), V) == S
-    diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
-    for i in range(len(S)):
-        for j in range(len(S[0])):
-            if i != j:
-                assert S[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
-    assert all(x >= 0 for x in diag)
+def test_lattice_index_is_the_gcd_of_maximal_minors(M):
+    # [Z^d : Z M] is the gcd of the d x d minors, and 0 (the gcd of none,
+    # or of zeros only) below full rank
+    minors = [det_cofactor([[row[j] for j in cols] for row in M])
+              for cols in combinations(range(len(M[0])), len(M))]
+    assert intlinalg.lattice_index(M) == math.gcd(*minors)
 
 
 @given(square_matrices)

@@ -98,18 +98,23 @@ def test_series_matches_direct_summation_with_cosets(dual):
         assert abs(got.value - want) <= 1e-11 * max(abs(want), 1e-30)
 
 
+def _volume_three_simplex():
+    cfg = config.build_cayley(1, 1, [[], [[0, 3, 1]]])
+    s = triangulation.make_simplex(cfg, (1, 2))
+    assert s.r == 3
+    return cfg, s
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_series_at_volume_three_matches_exact_arguments(dual):
     # sigma = (1, 2) has volume 3 and C = (2/3, 1/3), so no float grid
     # W @ C^T is exact; the Gamma arguments c - K / 3 are read from the
     # integers K = W @ C_int^T, on every coset
-    cfg = config.build_cayley(1, 1, [[], [[0, 3, 1]]])
-    s = triangulation.make_simplex(cfg, (1, 2))
-    assert s.r == 3
+    cfg, s = _volume_three_simplex()
     z = (1.0, 1.0, 0.5)
     fn = series.dual_gamma_series if dual else series.gamma_series
     for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
-        for kvec in intlinalg.coset_representatives(s.C_int.tolist(), s.r):
+        for kvec in intlinalg.coset_representatives(s.C_int, s.r):
             got = fn(cfg, s, kvec, z, delta, 30)
             want = series_by_direct_sum(cfg, s, kvec, z, delta, 30, dual)
             assert abs(got.value - want) <= 1e-12 * abs(want), (delta, kvec)
@@ -364,3 +369,33 @@ def test_transformation_matrix_shape_and_unimodular_scalar():
     s1 = triangulation.make_simplex(cfg, (1, 2, 5))
     T1 = series.transformation_matrix(cfg, s1, delta)
     assert len(T1) == 1 and len(T1[0]) == 1
+
+
+def test_coset_search_takes_the_numpy_c_int():
+    _, s = _volume_three_simplex()
+    assert intlinalg.coset_representatives(s.C_int, 3) == [[0], [1], [2]]
+
+
+def test_transformation_matrix_rows_carry_the_dual_coset_phases():
+    # T[i][j] = scal * exp(2 pi i kt_i . u0) X[i][j] eps_j with kreps[0] = 0,
+    # so T[i][0] / T[0][0] = exp(2 pi i kt_i . A_sigma^{-1} delta), where
+    # kt_i is the first graded-lex member of the i-th class of
+    # Z^2 / A_sigma^T Z^2: k ~ k' iff A_sigma^{-T} (k - k') is integral
+    cfg, s = _volume_three_simplex()
+    delta = (0.3137 + 0.05j, 0.2719)
+    inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
+    inv_t = [list(col) for col in zip(*inv)]
+    reps = []
+    degree = 0
+    while len(reps) < s.r:
+        for k in graded_lex_recursive(2, degree):
+            if all(any(x.denominator != 1 for x in intlinalg.mat_vec(
+                    inv_t, [a - b for a, b in zip(k, rep)])) for rep in reps):
+                reps.append(k)
+        degree += 1
+    assert reps == [(0, 0), (1, 0), (0, 1)]
+    u0 = [sum(complex(a) * x for a, x in zip(row, delta)) for row in inv]
+    T = series.transformation_matrix(cfg, s, delta)
+    for i, kt in enumerate(reps):
+        want = cmath.exp(2j * math.pi * sum(k * u for k, u in zip(kt, u0)))
+        assert abs(T[i][0] / T[0][0] - want) <= 1e-12, (i, kt)
