@@ -38,7 +38,7 @@ EXIT_NUMERIC = 4
 
 _BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,
               NotConvergent, NotUnimodular, SingularMatrix, KeyError,
-              ValueError)
+              ValueError, OSError)
 _DEGENERATE = (DegenerateLifting, DegenerateParameter, NonGenericParameter,
                PoleAtNonpositiveInteger, SineZero, UndefinedRatio,
                ZeroDenominator)

@@ -68,6 +68,8 @@ def build_cayley(k, n, block_matrices, name=""):
     may have zero columns).  Output rows: k indicator rows over I_1..I_k,
     then the n rows of A_0 | A_1 | ... | A_k.
     """
+    if k < 0 or n < 1:
+        raise BadDimensions(f"need k >= 0 and n >= 1, got k={k}, n={n}")
     if len(block_matrices) != k + 1:
         raise BadDimensions(f"expected {k + 1} blocks, got {len(block_matrices)}")
     widths = []
@@ -165,22 +167,38 @@ def is_very_generic(simplex, delta):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
     within 1e-9 of an integer for all m >= 0 with |m| <= 2."""
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    for _, W in intlinalg.graded_lex_shells(len(simplex.bar), 2):
-        ent = u0[None, :] + W.astype(float) @ simplex.C_float.T
-        near = (np.abs(ent.real - np.round(ent.real)) < 1e-9) \
-            & (np.abs(ent.imag) < 1e-9)
-        if np.any(near):
-            return False
-    return True
+    W, _ = intlinalg.graded_lex_shells(len(simplex.bar), 2)
+    ent = u0[None, :] + W.astype(float) @ simplex.C_float.T
+    return not np.any((np.abs(ent.real - np.round(ent.real)) < 1e-9)
+                      & (np.abs(ent.imag) < 1e-9))
+
+
+def _is_matrix(rows, kinds):
+    """True iff rows is a list of equally long lists of instances of kinds,
+    booleans excluded: JSON true would read as 1."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == len(rows[0])
+        and all(isinstance(x, kinds) and not isinstance(x, bool) for x in row)
+        for row in rows)
 
 
 def load_block_config_json(doc):
     """Build (Config, delta) from {"k":..,"n":..,"blocks":[[[..]]],
-    "gamma":[[re,im]..], "c":[[re,im]..]}."""
-    k, n = doc["k"], doc["n"]
-    cfg = build_cayley(k, n, doc["blocks"])
-    gamma_v = [complex(re, im) for re, im in doc.get("gamma", [])]
-    c_v = [complex(re, im) for re, im in doc.get("c", [])]
+    "gamma":[[re,im]..], "c":[[re,im]..]}.  k, n and the block entries must
+    be JSON integers; a document of another shape raises BadDimensions."""
+    if not isinstance(doc, dict):
+        raise BadDimensions("config must be a JSON object")
+    k, n, blocks = doc.get("k"), doc.get("n"), doc.get("blocks")
+    pairs = doc.get("gamma", []), doc.get("c", [])
+    if not (_is_matrix([[k, n]], int) and isinstance(blocks, list)
+            and all(_is_matrix(blk, int) for blk in blocks)
+            and all(_is_matrix(v, (int, float))
+                    and all(len(pair) == 2 for pair in v) for v in pairs)):
+        raise BadDimensions('config needs integers "k" and "n", integer '
+                            'matrices "blocks" and [re, im] pairs "gamma" '
+                            'and "c"')
+    cfg = build_cayley(k, n, blocks)
+    gamma_v, c_v = ([complex(re, im) for re, im in v] for v in pairs)
     if gamma_v and len(gamma_v) != k:
         raise BadDimensions("gamma length mismatch")
     if c_v and len(c_v) != n:

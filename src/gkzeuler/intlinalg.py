@@ -4,14 +4,19 @@ Matrices are plain lists of lists (row-major) of Python ints, which are
 arbitrary precision, so no intermediate swell can overflow.  One
 fraction-free elimination (adjugate) gives the determinant, the adjugate
 and, as Fractions adj / det, the inverse; one column reduction
-(lattice_index) gives the index of the lattice spanned by the columns.
+(lattice_index) gives the index of the lattice spanned by the columns.  The
+vectors of Z_{>=0}^q up to a degree are one int64 array in graded-lex order
+with its shell bounds (graded_lex_shells).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ExhaustedRetries, SingularMatrix
+from .errors import BadDimensions, ExhaustedRetries, SingularMatrix
+
+_ROWS_MAX = 2 ** 24   # rows of one graded-lex array
 
 
 def shape(M):
@@ -103,13 +108,17 @@ def rat_inverse(M):
 
 
 def graded_lex_shells(q, M):
-    """Yields (deg, W) for deg = 0..M: the rows of the int64 array W are the
-    nonnegative vectors of length q and degree deg, in decreasing lex order.
-    Those of length k and degree deg are (deg - e, v), v of length k - 1 and
-    degree e = 0..deg; each length is built in one array, all degrees at
-    once, and the shells of length q are views into it."""
+    """(W, bounds): the rows of the int64 array W are the nonnegative vectors
+    of length q and degree <= M, by degree, each degree in decreasing lex
+    order; shell deg is W[bounds[deg]:bounds[deg + 1]].  Those of length k
+    and degree deg are (deg - e, v), v of length k - 1 and degree e = 0..deg;
+    each length is built in one array, all degrees at once.  Raises
+    BadDimensions beyond _ROWS_MAX rows."""
     if M < 0:
-        return
+        return np.zeros((0, q), dtype=np.int64), [0]
+    if math.comb(M + q, q) > _ROWS_MAX:
+        raise BadDimensions(f"{math.comb(M + q, q)} vectors of length {q} "
+                            f"and degree <= {M} exceed {_ROWS_MAX}")
     rows = np.zeros((1, 0), dtype=np.int64)   # length 0: (), of degree 0
     degree = np.zeros(1, dtype=np.int64)      # the degree of each row
     counts = [1] + [0] * M                    # the rows of each degree
@@ -124,16 +133,13 @@ def graded_lex_shells(q, M):
                                                     for n in counts])
         longer[:, 1:] = np.concatenate([rows[:n] for n in counts])
         rows, degree = longer, new_degree
-    ends = np.cumsum(counts).tolist()
-    for deg, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
-        yield deg, rows[start:end]
+    return rows, [0] + np.cumsum(counts).tolist()
 
 
 def graded_lex_vectors(dim, degree):
     """The last shell of graded_lex_shells(dim, degree), as int tuples."""
-    for deg, W in graded_lex_shells(dim, degree):
-        if deg == degree:
-            yield from map(tuple, W.tolist())
+    W, bounds = graded_lex_shells(dim, degree)     # W is empty if degree < 0
+    yield from map(tuple, W[bounds[max(degree, 0)]:].tolist())
 
 
 def coset_representatives(M, r):

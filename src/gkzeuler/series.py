@@ -2,13 +2,14 @@
 to a simplex, convergence-domain point sampling, and the simplex
 transformation matrices.
 
-Terms are evaluated in log-space over blocks of consecutive shells of the
-graded-lex order, and summed shell by shell with compensated accumulation,
-so results are deterministic.  The Gamma arguments of a term w are
-c - (C_int w) / r, with C_int w exact integers; each series takes its
-complex log-Gamma once per pass, as a table indexed by those integers.  The
-series of a simplex that a quadratic relation pairs, phi and phi^vee, share
-one pass over the shells.  All complex powers use the principal logarithm.
+The lattice points of a series are one int64 array in graded-lex order and
+its shell bounds.  Terms are evaluated in log-space over blocks of whole
+shells, and summed shell by shell with compensated accumulation, so results
+are deterministic.  The Gamma arguments of a term w are c - (C_int w) / r,
+with C_int w exact integers; each series takes its complex log-Gamma once
+per pass, as a table indexed by those integers.  The series of a simplex
+that a quadratic relation pairs, phi and phi^vee, share one pass over the
+shells.  All complex powers use the principal logarithm.
 """
 
 import cmath
@@ -53,31 +54,18 @@ def _as_simplex(cfg, sigma):
 
 
 def lattice_shells(cfg, sigma, kvec, M):
-    """All w = k + m in Lambda_k with |w| <= M, grouped by graded degree.
-
-    Yields (degree, ndarray of shape (count, |sigma_bar|)) with rows in lex
-    order; rows satisfy the exact congruence A_sigma_bar (w - k) in Z A_sigma.
-    """
+    """All w = k + m in Lambda_k with |w| <= M, in graded-lex order, as
+    (W, bounds): the rows of W satisfy the exact congruence
+    A_sigma_bar (w - k) in Z A_sigma, and shell deg is
+    W[bounds[deg]:bounds[deg + 1]]."""
     simplex = _as_simplex(cfg, sigma)
     q, r, C_int = len(simplex.bar), simplex.r, simplex.C_int
-    kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
-    for deg, W in intlinalg.graded_lex_shells(q, M):
-        if r > 1:
-            W = W[((W - kvec) @ C_int.T % r == 0).all(axis=1)]
-        yield deg, W
-
-
-def _blocks(shells):
-    """Consecutive shells in lists of at most _BLOCK_ROWS rows; a larger
-    shell forms a list alone."""
-    block = []
-    for _, W in shells:
-        if block and sum(map(len, block)) + len(W) > _BLOCK_ROWS:
-            yield block
-            block = []
-        block.append(W)
-    if block:
-        yield block
+    W, bounds = intlinalg.graded_lex_shells(q, M)
+    if r > 1:
+        kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
+        keep = ((W - kvec) @ C_int.T % r == 0).all(axis=1)
+        W, bounds = W[keep], np.r_[0, np.cumsum(keep)][bounds].tolist()
+    return W, bounds
 
 
 class _Job:
@@ -143,11 +131,11 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
 
     The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
     in exact integers.  Each series takes one complex log-Gamma per integer
-    of the range of each K_i, once per pass; a block of shells reads them at
-    the entries of W @ C_int^T.  The log-monomials over the factorials are
-    computed once per block and shared; each series then takes its own
-    phases and compensated shell sums.  Very-genericity is checked once per
-    distinct delta, in the order of `jobs`.
+    of the range of each K_i, once per pass; a block of whole shells reads
+    them at the entries of W @ C_int^T.  The log-monomials over the
+    factorials are computed once per block and shared; each series then
+    takes its own phases and compensated shell sums.  Very-genericity is
+    checked once per distinct delta, in the order of `jobs`.
     """
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
@@ -189,13 +177,20 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
     srow = C[simplex.pos0, :].sum(axis=0)
     log_factorial = gammaln(np.arange(M + 1) + 1.0)
 
-    for block in _blocks(lattice_shells(cfg, simplex, kvec, M)):
-        W = np.concatenate(block)
+    rows, bounds = lattice_shells(cfg, simplex, kvec, M)
+    # blocks: runs of whole shells of at most _BLOCK_ROWS rows, a larger shell
+    # alone (other cuts change bits: numpy takes a 1-row product another way)
+    cuts = [0]
+    for deg in range(1, M + 1):
+        if bounds[deg + 1] - bounds[cuts[-1]] > _BLOCK_ROWS:
+            cuts.append(deg)
+    for first, last in zip(cuts, cuts[1:] + [M + 1]):
+        W = rows[bounds[first]:bounds[last]]
         Wf = W.astype(float)
         logmono = Wf @ logx - log_factorial[W].sum(axis=1)
         at = W @ C_int.T + offset     # each term's table entry, per column
-        ends = np.cumsum([len(shell) for shell in block]).tolist()
-        shells = list(zip([0] + ends[:-1], ends))     # rows of each shell
+        ends = [b - bounds[first] for b in bounds[first:last + 1]]
+        shells = list(zip(ends, ends[1:]))     # rows of each shell
         for job in jobs:
             logt = logmono - job.log_gamma[at].sum(axis=1)
             if job.dual:

@@ -40,10 +40,10 @@ def pochhammer(alpha, beta):
     """
     if isinstance(beta, int) or (isinstance(beta, complex) is False
                                  and float(beta).is_integer()):
-        return _pochhammer_int(complex(alpha), int(beta))
+        return _rising(complex(alpha), int(beta), 1.0 + 0j)
     if isinstance(beta, complex) and abs(beta.imag) <= _POLE_TOL \
             and abs(beta.real - round(beta.real)) <= _POLE_TOL:
-        return _pochhammer_int(complex(alpha), round(beta.real))
+        return _rising(complex(alpha), round(beta.real), 1.0 + 0j)
     a, b = complex(alpha), complex(beta)
     if _is_nonpositive_integer(a + b):
         raise UndefinedRatio(f"Gamma pole at alpha+beta={a + b}")
@@ -52,38 +52,26 @@ def pochhammer(alpha, beta):
     return gamma(a + b) / gamma(a)
 
 
-def _pochhammer_int(a, m):
+def _rising(a, m, one):
+    """(a)_m as a product from `one`: a(a+1)...(a+m-1) for m >= 0, else
+    1 / ((a-1)(a-2)...(a+m))."""
+    out = one
     if m >= 0:
-        out = 1.0 + 0j
         for i in range(m):
             out *= a + i
         return out
-    # (a)_{-m} = 1 / ((a-1)(a-2)...(a+m))
-    out = 1.0 + 0j
     for i in range(1, -m + 1):
         f = a - i
         if f == 0:
             raise UndefinedRatio(f"falling product hits zero at alpha={a}, beta={m}")
         out *= f
-    return 1.0 / out
+    return 1 / out
 
 
 def pochhammer_exact(alpha, m):
     """Exact rational rising product (alpha)_m for Fraction alpha and
     integer m (m may be negative)."""
-    alpha = Fraction(alpha)
-    if m >= 0:
-        out = Fraction(1)
-        for i in range(m):
-            out *= alpha + i
-        return out
-    out = Fraction(1)
-    for i in range(1, -m + 1):
-        f = alpha - i
-        if f == 0:
-            raise UndefinedRatio(f"falling product hits zero at alpha={alpha}, m={m}")
-        out *= f
-    return 1 / out
+    return _rising(Fraction(alpha), m, Fraction(1))
 
 
 def sin_pi_product(v):

@@ -20,6 +20,7 @@ explicit index sets is built and validated once per (configuration, index
 sets, seed).
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -30,6 +31,8 @@ import numpy as np
 from .errors import (BadDimensions, DegenerateLifting, ExhaustedRetries,
                      NotATriangulation, SingularMatrix)
 from . import intlinalg
+
+_LADDERS_MAX = 100_000   # ladders one enumerate_ladders call may list
 
 
 @dataclass(frozen=True)
@@ -301,9 +304,13 @@ def enumerate_regular_triangulations(cfg, samples=500, seed=0):
 def enumerate_ladders(k, n):
     """All monotone staircase paths from (k, k+1) to (0, n): each step
     decrements i or increments j by one.  The ambient index set is
-    {0..k} x {k+1..n}; there are C(n-1, k) ladders."""
+    {0..k} x {k+1..n}; there are C(n-1, k) ladders.  Raises BadDimensions
+    beyond _LADDERS_MAX."""
     if not 0 <= k < n:
         raise BadDimensions(f"need 0 <= k < n, got k={k}, n={n}")
+    if math.comb(n - 1, k) > _LADDERS_MAX:
+        raise BadDimensions(f"C({n - 1}, {k}) = {math.comb(n - 1, k)} "
+                            f"ladders exceed {_LADDERS_MAX}")
     out = []
 
     def walk(path):

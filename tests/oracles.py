@@ -148,6 +148,12 @@ def graded_lex_recursive(dim, degree):
             yield (first,) + rest
 
 
+def split_shells(W, bounds):
+    """The shells W[bounds[deg]:bounds[deg + 1]] of a graded-lex array, as a
+    list indexed by degree."""
+    return [W[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def series_by_shell(cfg, simplex, kvec, z, delta, M, dual):
     """The truncated Gamma-series (or its dual) of a simplex, evaluated one
     shell of graded degree at a time, with log-Gamma taken on every entry of

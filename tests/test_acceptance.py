@@ -10,7 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from oracles import graded_lex_recursive, pochhammer_reflection_check
+from oracles import (graded_lex_recursive, pochhammer_reflection_check,
+                     split_shells)
 
 from gkzeuler import cli, config, intersection, intlinalg, series, specfun, \
     triangulation
@@ -221,7 +222,7 @@ def test_lattice_coset_partition_to_degree_twenty():
     kreps = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)
     q = cfg.N - cfg.d
-    shells = {tuple(k): dict(series.lattice_shells(cfg, s, k, 20))
+    shells = {tuple(k): split_shells(*series.lattice_shells(cfg, s, k, 20))
               for k in kreps}
     for deg in range(21):
         everything = sorted(graded_lex_recursive(q, deg))
@@ -284,11 +285,10 @@ def test_monodromy_weights_are_exact():
     kreps = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)
     for kvec in kreps:
-        for deg, W in series.lattice_shells(cfg, s, kvec, 15):
-            for w in W:
-                m = [int(wi) - ki for wi, ki in zip(w, kvec)]
-                assert all(x.denominator == 1
-                           for x in intlinalg.mat_vec(C, m))
+        W, _ = series.lattice_shells(cfg, s, kvec, 15)
+        for w in W:
+            m = [int(wi) - ki for wi, ki in zip(w, kvec)]
+            assert all(x.denominator == 1 for x in intlinalg.mat_vec(C, m))
 
 
 # -- 11: full period matrix for the smallest hyperplane family ---------------

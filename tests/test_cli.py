@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -154,15 +155,58 @@ def test_series_bad_sigma(capsys, sigma):
     # so does a pass at an order beyond any machine integer
     "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613 "
     "--z 1,1,1,0.05 --order 100000000000000000000",
+    # a directory as the config, and an --out file that cannot be written
+    "fan-scan --config {tmp}",
+    "ladders --k 1 --n 3 --out {tmp}/missing/x.json",
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"k": 1, "n": 1,
                                 "blocks": [[], [[0, 10 ** 6, 1]]]}))
-    code = cli.main(argv.format(huge=huge).split())
+    code = cli.main(argv.format(huge=huge, tmp=tmp_path).split())
     captured = capsys.readouterr()
     assert code == cli.EXIT_BAD_INPUT
     assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
+
+
+@pytest.mark.parametrize("argv", [
+    # C(404, 4) = 1,093,567,501 exponent vectors, 35 GB as int64, although
+    # the log-Gamma table of the pass is small
+    "verify --case e36 --order 400",
+    # C(59, 30) = 5.9 * 10^16 ladders
+    "ladders --k 30 --n 60",
+])
+def test_oversized_enumerations_exit_two_promptly(capsys, argv):
+    t0 = time.perf_counter()
+    code = cli.main(argv.split())
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("doc", [
+    "[]",
+    '{"k": "1", "n": 1, "blocks": [[], [[0, 1, 2]]]}',
+    '{"k": 1, "n": 1, "blocks": 5}',
+    '{"k": 1, "n": 1, "blocks": [[], [0, 1, 2]]}',
+    '{"k": 1, "n": 1, "blocks": [[], [[0, 1, 2]]], "c": 5}',
+    '{"k": 1, "n": 1, "blocks": [[], [[0, 1, 2]]], "gamma": [["a", "b"]]}',
+    # a float or a boolean entry is not read as an integer
+    '{"k": 1, "n": 1, "blocks": [[], [[0, 1.5, 2]]]}',
+    '{"k": 1, "n": 1, "blocks": [[], [[0, true, 2]]]}',
+    '{"k": 1, "n": 1, "blocks": [[], [[0, Infinity, 2]]]}',
+    # no column at all
+    '{"k": 0, "n": 0, "blocks": [[]]}',
+])
+def test_bad_config_document_exits_two(capsys, tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    code = cli.main(["fan-scan", "--config", str(path), "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BAD_INPUT and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
 
 

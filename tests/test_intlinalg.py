@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_cofactor, graded_lex_recursive
+from oracles import det_cofactor, graded_lex_recursive, split_shells
 
 from gkzeuler import intlinalg
 from gkzeuler.errors import ExhaustedRetries, SingularMatrix
@@ -74,12 +74,14 @@ def test_graded_lex_vectors_degree_zero_and_empty_dim():
 def test_graded_lex_shells_match_recursive_oracle():
     for q in range(6):
         for M in range(11):
-            shells = list(intlinalg.graded_lex_shells(q, M))
-            assert [deg for deg, _ in shells] == list(range(M + 1))
-            for deg, W in shells:
-                assert W.dtype == np.int64 and W.shape[1] == q
-                assert list(map(tuple, W.tolist())) == \
+            W, bounds = intlinalg.graded_lex_shells(q, M)
+            assert W.dtype == np.int64 and W.shape[1] == q
+            assert len(bounds) == M + 2 and bounds[-1] == len(W)
+            for deg, shell in enumerate(split_shells(W, bounds)):
+                assert list(map(tuple, shell.tolist())) == \
                     list(graded_lex_recursive(q, deg)), (q, M, deg)
+        W, bounds = intlinalg.graded_lex_shells(q, -1)
+        assert W.shape == (0, q) and W.dtype == np.int64 and bounds == [0]
 
 
 def test_coset_search_raises_when_classes_run_out():

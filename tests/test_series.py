@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 from oracles import (graded_lex_recursive, series_by_direct_sum,
-                     series_by_shell)
+                     series_by_shell, split_shells)
 
 from gkzeuler import config, intersection, intlinalg, series, triangulation
 from gkzeuler.errors import (BadDimensions, DivergentTail,
@@ -43,7 +43,7 @@ def test_lattice_cosets_partition_the_orthant():
     assert len(kreps) == s.r
     q = cfg.N - cfg.d
     maxdeg = 20
-    shells = {tuple(k): dict(series.lattice_shells(cfg, s, k, maxdeg))
+    shells = {tuple(k): split_shells(*series.lattice_shells(cfg, s, k, maxdeg))
               for k in kreps}
     for deg in range(maxdeg + 1):
         everything = list(graded_lex_recursive(q, deg))
@@ -62,11 +62,11 @@ def test_lattice_shell_congruence_is_exact():
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
     kvec = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)[1]
-    for deg, W in series.lattice_shells(cfg, s, kvec, 12):
-        for w in W:
-            m = [int(wi) - ki for wi, ki in zip(w, kvec)]
-            img = intlinalg.mat_vec(C, m)
-            assert all(x.denominator == 1 for x in img)
+    W, _ = series.lattice_shells(cfg, s, kvec, 12)
+    for w in W:
+        m = [int(wi) - ki for wi, ki in zip(w, kvec)]
+        img = intlinalg.mat_vec(C, m)
+        assert all(x.denominator == 1 for x in img)
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -127,8 +127,7 @@ def test_registry_gamma_grid_is_exact_in_floats():
     for name in config.registry_names():
         cfg = config.get_config(name)
         for s in triangulation._table(cfg).simplices:
-            W = np.concatenate([W for _, W in
-                                intlinalg.graded_lex_shells(len(s.bar), 12)])
+            W, _ = intlinalg.graded_lex_shells(len(s.bar), 12)
             K = W @ s.C_int.astype(np.int64).T
             assert (K / s.r).tobytes() \
                 == (W.astype(float) @ s.C_float.T).tobytes(), \
@@ -160,9 +159,14 @@ def _block_reference_inputs():
     return out
 
 
-def test_block_evaluation_matches_shell_by_shell_reference():
+@pytest.mark.parametrize("block_rows", [1, 5, 64, 4096])
+def test_block_evaluation_matches_shell_by_shell_reference(monkeypatch,
+                                                           block_rows):
     # blocks of shells share one pass over W and one log-Gamma per distinct
-    # argument; every number must come out bit for bit as shell by shell
+    # argument; every number must come out bit for bit as shell by shell,
+    # whatever the block size
+    monkeypatch.setattr(series, "_BLOCK_ROWS", block_rows)
+
     def bits(x):
         return np.asarray(x, dtype=complex).tobytes()
 
