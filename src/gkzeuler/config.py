@@ -13,7 +13,6 @@ we scan graded degrees up to 2, which catches accidental integrality for the
 random parameters used in verification.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +76,6 @@ def build_cayley(k, n, block_matrices, name=""):
         ncols = len(blk[0]) if blk else 0
         if blk and len(blk) != n:
             raise BadDimensions(f"block {l} has {len(blk)} rows, expected {n}")
-        if l >= 1 and ncols < 2:
-            warnings.warn(f"block {l} has fewer than 2 columns", stacklevel=2)
         widths.append(ncols)
     N = sum(widths)
     rows = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadDimensions, ExhaustedRetries, SingularMatrix
 
-_ROWS_MAX = 2 ** 24   # rows of one graded-lex array
+_ROWS_MAX = 2 ** 20   # rows of one graded-lex array
 
 
 def shape(M):

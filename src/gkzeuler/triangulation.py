@@ -5,7 +5,10 @@ exponent formula.
 Simplices carry 1-based column indices matching the usual labels (e.g.
 "235").  A candidate triangulation is validated by a volume sum against an
 independently computed normalized volume plus a random-ray multiplicity
-test; failures raise NotATriangulation instead of proceeding silently.
+test; failures raise NotATriangulation instead of proceeding silently.  The
+ray test stacks the simplicial cones in one integer array and tests each
+round of rays against all of them with one product, in int64 when a bound
+on its entries allows and in Python ints otherwise.
 
 A Simplex holds exact integers only: det A_sigma, its adjugate
 adj = det A_sigma^{-1} from one fraction-free elimination, and
@@ -33,6 +36,7 @@ from .errors import (BadDimensions, DegenerateLifting, ExhaustedRetries,
 from . import intlinalg
 
 _LADDERS_MAX = 100_000   # ladders one enumerate_ladders call may list
+_LAMBDA_MAX = 420_000    # the largest entry of a random ray lambda
 
 
 @dataclass(frozen=True)
@@ -122,31 +126,52 @@ def _triangulate_raw(cfg, omega):
     return out
 
 
+def _draw_rays(rng, n, N):
+    """n rays lambda > 0, as n * N integers ray by ray: lambda_j = p / q with
+    p <= 1000 and q <= 7, scaled by 420 = lcm(1..7)."""
+    randint = rng.randint
+    return [randint(1, 1000) * (420 // randint(1, 7)) for _ in range(n * N)]
+
+
+def _stacked_cones(cfg, simplices):
+    """The (S, d, N) array whose block s maps lambda to r times the
+    coordinates lambda_sigma + C lambda_sigma-bar of A lambda in
+    cone(A_sigma): r on the columns of sigma, C_int on those of sigma-bar.
+    int64 when no product with a drawn ray can overflow it, Python ints
+    otherwise."""
+    M = np.zeros((len(simplices), cfg.d, cfg.N), dtype=object)
+    for block, s in zip(M, simplices):
+        block[range(cfg.d), [j - 1 for j in s.indices]] = s.r
+        block[:, [j - 1 for j in s.bar]] = s.C_int
+    if np.abs(M).max(initial=0) * cfg.N * _LAMBDA_MAX < 2 ** 63:
+        M = M.astype(np.int64)
+    return M
+
+
 def _ray_test(cfg, simplices, rng):
     """Each of 200 random rays A lambda, lambda > 0, must lie strictly inside
-    exactly one simplicial cone.  In cone(A_sigma) the ray has coordinates
-    lambda_sigma + C lambda_sigma-bar; r times them are integers.  A ray on
-    a cone's boundary is drawn again, up to 2000 draws in all."""
-    done = 0
-    for _ in range(2000):
-        # lambda_j = p / q with q <= 7, scaled by 420 = lcm(1..7)
-        lam = [rng.randint(1, 1000) * (420 // rng.randint(1, 7))
-               for _ in range(cfg.N)]
-        hits = 0
-        boundary = False
-        for s in simplices:
-            lam_bar = np.array([lam[j - 1] for j in s.bar], dtype=object)
-            x = s.C_int @ lam_bar + [s.r * lam[j - 1] for j in s.indices]
-            if (x == 0).any():
-                boundary = True
-                break
-            if (x > 0).all():
-                hits += 1
-        if boundary:
-            continue
-        if hits != 1:
+    exactly one simplicial cone; a ray with a zero coordinate in some cone is
+    on a boundary and is drawn again, up to 2000 draws in all.  Each round
+    draws one ray per good ray still needed and tests them against every
+    simplex at once, in one product with _stacked_cones.  rng ends where
+    drawing and testing one ray at a time would leave it: after a failing
+    ray, the round is drawn again from its saved state up to that ray."""
+    M = _stacked_cones(cfg, simplices)
+    done = drawn = 0
+    while drawn < 2000:
+        n = min(200 - done, 2000 - drawn)
+        state = rng.getstate()
+        lam = np.array(_draw_rays(rng, n, cfg.N), dtype=M.dtype)
+        X = M @ lam.reshape(n, cfg.N).T         # (S, d, n)
+        off = ~(X == 0).any(axis=(0, 1))
+        hits = (X > 0).all(axis=1).sum(axis=0)
+        failed = np.flatnonzero(off & (hits != 1))
+        if failed.size:
+            rng.setstate(state)
+            _draw_rays(rng, int(failed[0]) + 1, cfg.N)
             return False
-        done += 1
+        done += int(off.sum())
+        drawn += n
         if done == 200:
             return True
     raise ExhaustedRetries(f"{done} of 200 rays off the cone boundaries")

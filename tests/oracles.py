@@ -2,9 +2,10 @@
 classical quadratic relations of the Gauss and Kummer series by direct
 truncated summation, a cofactor-expansion determinant, the Pochhammer
 reflection identity, the lifting criterion in Fraction arithmetic, the
-secondary-fan scan with one validation per lifting, a recursive graded-lex
-enumerator, the Gamma-series summed one shell at a time and the Gamma-series
-summed term by term in mpmath with exact Gamma arguments."""
+secondary-fan scan with one validation per lifting, the random-ray test one
+ray and one simplex at a time, a recursive graded-lex enumerator, the
+Gamma-series summed one shell at a time and the Gamma-series summed term by
+term in mpmath with exact Gamma arguments."""
 
 import cmath
 import math
@@ -17,8 +18,8 @@ import numpy as np
 from scipy.special import gammaln, loggamma
 
 from gkzeuler import intlinalg, specfun, triangulation
-from gkzeuler.errors import (DegenerateLifting, NotATriangulation,
-                             SingularMatrix)
+from gkzeuler.errors import (DegenerateLifting, ExhaustedRetries,
+                             NotATriangulation, SingularMatrix)
 
 
 def _hyp2f1(a, b, c, w, M):
@@ -130,6 +131,37 @@ def scan_by_triangulate(cfg, samples, seed):
             continue
         seen.setdefault(tri.index_sets(), tri)
     return list(seen.values())
+
+
+def ray_test_sequential(cfg, simplices, rng):
+    """The random-ray multiplicity test one ray and one simplex at a time:
+    each of 200 random rays A lambda, lambda > 0, must lie strictly inside
+    exactly one simplicial cone.  In cone(A_sigma) the ray has coordinates
+    lambda_sigma + C lambda_sigma-bar; r times them are integers.  A ray on
+    a cone's boundary is drawn again, up to 2000 draws in all."""
+    done = 0
+    for _ in range(2000):
+        # lambda_j = p / q with q <= 7, scaled by 420 = lcm(1..7)
+        lam = [rng.randint(1, 1000) * (420 // rng.randint(1, 7))
+               for _ in range(cfg.N)]
+        hits = 0
+        boundary = False
+        for s in simplices:
+            lam_bar = np.array([lam[j - 1] for j in s.bar], dtype=object)
+            x = s.C_int @ lam_bar + [s.r * lam[j - 1] for j in s.indices]
+            if (x == 0).any():
+                boundary = True
+                break
+            if (x > 0).all():
+                hits += 1
+        if boundary:
+            continue
+        if hits != 1:
+            return False
+        done += 1
+        if done == 200:
+            return True
+    raise ExhaustedRetries(f"{done} of 200 rays off the cone boundaries")
 
 
 def graded_lex_recursive(dim, degree):

@@ -62,11 +62,18 @@ def test_fan_scan_counts(capsys):
 
 
 # sha256 of stdout, recorded before the refactor that merged the coset
-# searches and the triangulation validation; exact arithmetic only, so the
-# digests do not depend on the machine
+# searches and the triangulation validation (the e36, e36c and h4 scans
+# before the ray test took a round of rays at once); exact arithmetic only,
+# so the digests do not depend on the machine
 _PINNED_SHA256 = {
     "fan-scan --config g1 --samples 300 --seed 5":
         "0b348b71f1a3732d3f7f7758244acc6489c67e0afee9f77807de65046e412ecf",
+    "fan-scan --config e36 --samples 40 --seed 1":
+        "7215515694e3841e1f9ee0c31a5708b2946838ae6f3ac706b2862c2c4a5438bc",
+    "fan-scan --config e36c --samples 40 --seed 1":
+        "a6bf1ea2f347615d7bc304b3a04c93899afeccc220cbf2d02c68a18587b72ea4",
+    "fan-scan --config h4 --samples 60 --seed 2":
+        "89651e626badb09e044e078197e92cf79e73481956c5afbe3b7e440a08058d13",
     "identities --degree 12":
         "235b6074611c835bde06ff034525ed495495a371a65bbdae16aae0256cb542db",
     "ladders --k 2 --n 5":
@@ -176,6 +183,9 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     "verify --case e36 --order 400",
     # C(59, 30) = 5.9 * 10^16 ladders
     "ladders --k 30 --n 60",
+    # C(1502, 2) = 1,127,251 exponent vectors, beyond the 2^20 row bound
+    "series --config g1 --sigma 2,3,4 --kvec 1,0 --delta 0.3,0.2,0.6 "
+    "--z 1,1,1,1,0.1 --order 1500",
 ])
 def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     t0 = time.perf_counter()
@@ -185,6 +195,15 @@ def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     assert code == cli.EXIT_BAD_INPUT and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
     assert elapsed < 1.0
+
+
+def test_series_below_the_row_bound_runs(capsys):
+    # C(1002, 2) = 501,501 exponent vectors, under the 2^20 row bound
+    code, out = _run(capsys, ["series", "--config", "g1", "--sigma", "2,3,4",
+                              "--kvec", "1,0", "--delta", "0.3,0.2,0.6",
+                              "--z", "1,1,1,1,0.1", "--order", "1000"])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["terms_summed"] == 250500
 
 
 @pytest.mark.parametrize("doc", [
@@ -200,14 +219,18 @@ def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     '{"k": 1, "n": 1, "blocks": [[], [[0, Infinity, 2]]]}',
     # no column at all
     '{"k": 0, "n": 0, "blocks": [[]]}',
+    # a block of fewer than two columns
+    '{"k": 1, "n": 1, "blocks": [[], [[]]]}',
 ])
-def test_bad_config_document_exits_two(capsys, tmp_path, doc):
+def test_bad_config_document_exits_two(capsys, recwarn, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(doc)
     code = cli.main(["fan-scan", "--config", str(path), "--samples", "5"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_BAD_INPUT and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
+    # outside pytest a warning would print two more stderr lines
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("argv", [
