@@ -3,16 +3,22 @@ to a simplex, convergence-domain point sampling, and the simplex
 transformation matrices.
 
 The lattice points of a series are one int64 array in graded-lex order and
-its shell bounds.  Terms are evaluated in log-space over blocks of whole
-shells, and summed shell by shell with compensated accumulation, so results
-are deterministic.  The Gamma arguments of a term w are c - (C_int w) / r,
-with C_int w exact integers; each series takes its complex log-Gamma once
-per pass, as a table indexed by those integers.  The series of a simplex
+its shell bounds.  They depend only on (q, M), q = |sigma-bar| and M the
+order, so a bounded cache (_shells) holds them once per (q, M), read-only,
+with their float view and the row sums of log(w_i!); a coset filter masks
+all three.  Terms are evaluated in log-space over blocks of whole shells,
+and summed shell by shell with compensated accumulation, so results are
+deterministic.  The Gamma arguments of a term w are c - (C_int w) / r, with
+C_int w exact integers, read off a float product that is exact below
+_TABLE_MAX; each series takes its complex log-Gamma once per pass, as a
+table indexed by those integers, and sums a term's entries column by column
+in the order numpy sums a short row (_rowsum).  The series of a simplex
 that a quadratic relation pairs, phi and phi^vee, share one pass over the
 shells.  All complex powers use the principal logarithm.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,19 +59,61 @@ def _as_simplex(cfg, sigma):
     return make_simplex(cfg, sigma)
 
 
+@functools.lru_cache(maxsize=16)
+def _shells(q, M):
+    """(W, bounds, Wf, log_factorials) for graded_lex_shells(q, M): the rows,
+    their shell bounds, the rows as floats and the row sums of log(w_i!), all
+    read-only and shared by every simplex and pass of that (q, M)."""
+    W, bounds = intlinalg.graded_lex_shells(q, M)
+    Wf = W.astype(float)
+    log_factorials = gammaln(np.arange(M + 1) + 1.0)[W].sum(axis=1)
+    for a in (W, Wf, log_factorials):
+        a.setflags(write=False)
+    return W, tuple(bounds), Wf, log_factorials
+
+
+def _coset_shells(simplex, kvec, M):
+    """The rows of _shells(q, M) in Lambda_k, as (W, bounds, Wf,
+    log_factorials), read-only: C_int (w - k) = 0 mod r, tested as
+    W @ C_int^T - (C_int k mod r) in int64 when no entry can overflow it,
+    in Python ints otherwise."""
+    q, r, C = len(simplex.bar), simplex.r, simplex.C_int
+    W, bounds, Wf, log_factorials = _shells(q, M)
+    if r == 1:
+        return W, list(bounds), Wf, log_factorials
+    t = C @ np.array(kvec if kvec is not None else [0] * q, dtype=object) % r
+    if M * q * np.abs(C).max(initial=0) + r < 2 ** 63:
+        C, t = C.astype(np.int64), t.astype(np.int64)
+    keep = ((W @ C.T - t) % r == 0).all(axis=1)
+    bounds = np.r_[0, np.cumsum(keep)][list(bounds)].tolist()
+    W, Wf, log_factorials = W[keep], Wf[keep], log_factorials[keep]
+    for a in (W, Wf, log_factorials):
+        a.setflags(write=False)
+    return W, bounds, Wf, log_factorials
+
+
 def lattice_shells(cfg, sigma, kvec, M):
     """All w = k + m in Lambda_k with |w| <= M, in graded-lex order, as
-    (W, bounds): the rows of W satisfy the exact congruence
+    (W, bounds): the rows of the read-only W satisfy the exact congruence
     A_sigma_bar (w - k) in Z A_sigma, and shell deg is
     W[bounds[deg]:bounds[deg + 1]]."""
-    simplex = _as_simplex(cfg, sigma)
-    q, r, C_int = len(simplex.bar), simplex.r, simplex.C_int
-    W, bounds = intlinalg.graded_lex_shells(q, M)
-    if r > 1:
-        kvec = np.array(kvec if kvec is not None else [0] * q, dtype=object)
-        keep = ((W - kvec) @ C_int.T % r == 0).all(axis=1)
-        W, bounds = W[keep], np.r_[0, np.cumsum(keep)][bounds].tolist()
-    return W, bounds
+    return _coset_shells(_as_simplex(cfg, sigma), kvec, M)[:2]
+
+
+def _rowsum(cols):
+    """The row sums of the (rows, len(cols)) array with columns `cols`, bit
+    for bit as numpy's sum(axis=1) takes them: a row of fewer than 8 scalars
+    left to right from +0.0; a longer one into 8 scalars of accumulators
+    (8 float or 4 complex) by strides, combined as a pairwise tree, then the
+    remainder left to right, and added to +0.0."""
+    step = 4 if np.iscomplexobj(cols[0]) else 8
+    if len(cols) < step:
+        return sum(cols, 0.0)
+    full = len(cols) - len(cols) % step
+    acc = [sum(cols[j + step:full:step], cols[j]) for j in range(step)]
+    while len(acc) > 1:
+        acc = [a + b for a, b in zip(acc[::2], acc[1::2])]
+    return 0.0 + sum(cols[full:], acc[0])
 
 
 class _Job:
@@ -132,10 +180,13 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
     The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
     in exact integers.  Each series takes one complex log-Gamma per integer
     of the range of each K_i, once per pass; a block of whole shells reads
-    them at the entries of W @ C_int^T.  The log-monomials over the
-    factorials are computed once per block and shared; each series then
-    takes its own phases and compensated shell sums.  Very-genericity is
-    checked once per distinct delta, in the order of `jobs`.
+    them at the entries of C_int @ W^T, a float product that is exact as
+    every partial sum is an integer below _TABLE_MAX, and sums each term's
+    d entries column by column in numpy's order (_rowsum).  The rows, their
+    float view and the log-factorial sums come from the (q, M) shell cache;
+    the log-monomials are computed once per block and shared; each series
+    then takes its own phases and compensated shell sums.  Very-genericity
+    is checked once per distinct delta, in the order of `jobs`.
     """
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
@@ -162,7 +213,7 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
             raise NonGenericParameter(
                 f"delta={delta} hits an integer entry for sigma={sigma}")
         checked.add(tuple(delta))
-    C_int, sizes = simplex.C_int.astype(np.int64), sizes.astype(np.int64)
+    sizes = sizes.astype(np.int64)
     offset = np.cumsum(sizes) - sizes - lo.astype(np.int64)   # at = K + offset
     wc = (np.arange(sizes.sum()) - np.repeat(offset, sizes)) / simplex.r
     z = np.asarray([complex(x) for x in z])
@@ -175,9 +226,9 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
     # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
     bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
     srow = C[simplex.pos0, :].sum(axis=0)
-    log_factorial = gammaln(np.arange(M + 1) + 1.0)
 
-    rows, bounds = lattice_shells(cfg, simplex, kvec, M)
+    _, bounds, rows_f, log_factorials = _coset_shells(simplex, kvec, M)
+    C_int = simplex.C_int.astype(float)    # |K| < _TABLE_MAX: exact in float
     # blocks: runs of whole shells of at most _BLOCK_ROWS rows, a larger shell
     # alone (other cuts change bits: numpy takes a 1-row product another way)
     cuts = [0]
@@ -185,21 +236,21 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
         if bounds[deg + 1] - bounds[cuts[-1]] > _BLOCK_ROWS:
             cuts.append(deg)
     for first, last in zip(cuts, cuts[1:] + [M + 1]):
-        W = rows[bounds[first]:bounds[last]]
-        Wf = W.astype(float)
-        logmono = Wf @ logx - log_factorial[W].sum(axis=1)
-        at = W @ C_int.T + offset     # each term's table entry, per column
+        Wf = rows_f[bounds[first]:bounds[last]]
+        logmono = Wf @ logx - log_factorials[bounds[first]:bounds[last]]
+        # each term's table entry, per column: at[i] = K_i + offset_i
+        at = (C_int @ Wf.T).astype(np.intp) + offset[:, None]
         ends = [b - bounds[first] for b in bounds[first:last + 1]]
         shells = list(zip(ends, ends[1:]))     # rows of each shell
         for job in jobs:
-            logt = logmono - job.log_gamma[at].sum(axis=1)
+            logt = logmono - _rowsum([job.log_gamma[a] for a in at])
             if job.dual:
                 logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0
                                         else 0.0)
                 logt += 1j * math.pi * (Wf @ srow)
             t = np.exp(logt)
             if job.pole is not None:
-                t[job.pole[at].any(axis=1)] = 0.0
+                t[job.pole[at].any(axis=0)] = 0.0
             job.add_block(t, shells)
     return [job.result(sigma, M) for job in jobs]
 

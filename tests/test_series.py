@@ -182,6 +182,74 @@ def test_block_evaluation_matches_shell_by_shell_reference(monkeypatch,
         assert bits(got.series_abs) == bits(series_abs), where
 
 
+@pytest.mark.parametrize("which", ["g1", "volume three"])
+def test_coset_filter_matches_python_int_filter(which):
+    # the congruence C_int (w - k) = 0 mod r, tested in Python ints on every
+    # row, keeps the rows and shell bounds lattice_shells returns, for every
+    # k in {0, 1, 2}^q and for a k beyond int64
+    if which == "g1":
+        cfg = config.get_config("g1")
+        s, M = _nonunimodular_simplex(cfg), 20
+    else:
+        (cfg, s), M = _volume_three_simplex(), 30
+    q = len(s.bar)
+    W, bounds = intlinalg.graded_lex_shells(q, M)
+    for kvec in [*np.ndindex(*[3] * q), (10 ** 20 + 1,) + (0,) * (q - 1)]:
+        keep = ((W.astype(object) - np.array(kvec, dtype=object))
+                @ s.C_int.T % s.r == 0).all(axis=1)
+        want = [W[a:b][keep[a:b]].tolist() for a, b in zip(bounds, bounds[1:])]
+        got = [shell.tolist() for shell in
+               split_shells(*series.lattice_shells(cfg, s, kvec, M))]
+        assert got == want, kvec
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rowsum_matches_numpy_row_sum_bit_for_bit(dtype, width):
+    # the column-wise sum must round as numpy's sum(axis=1) does: left to
+    # right below 8 scalars a row, pairwise over 8 scalars of accumulators
+    # from there on, and -0.0 + -0.0 read as +0.0
+    rng = np.random.default_rng(width)
+
+    def draw(shape):
+        return 10 ** rng.uniform(-3, 3, shape) * rng.choice([-1, 1], shape)
+
+    for rows in (1, 7, 2000):
+        a = draw((rows, width)).astype(dtype)
+        zeros = rng.choice([-0.0, 0.0], (64, width)).astype(dtype)
+        if dtype is complex:
+            a += 1j * draw((rows, width))
+            zeros += 1j * rng.choice([-0.0, 0.0], (64, width))
+        zeros[0] = complex(-0.0, -0.0) if dtype is complex else -0.0
+        for x in (a, zeros):
+            got = series._rowsum([x[:, j] for j in range(width)])
+            assert got.tobytes() == x.sum(axis=1).tobytes(), rows
+
+
+def test_shell_cache_is_read_only_and_cold_equals_warm():
+    # the cached shells are shared by every pass of a (q, M): no caller may
+    # write into them, and a pass gives the same bits on a cold cache as on
+    # a warm one
+    gauss, g1 = config.get_config("gauss"), config.get_config("g1")
+    for cfg, s in ((gauss, triangulation.make_simplex(gauss, (1, 2, 3))),
+                   (g1, _nonunimodular_simplex(g1))):
+        W, _ = series.lattice_shells(cfg, s, None, 10)
+        with pytest.raises(ValueError):
+            W[0, 0] = 7
+    data = intersection.CASES["e36"](np.random.default_rng(0))
+    cfg, s, z = data["cfg"], data["tri"].simplices[0], data["z"]
+    dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                data["twist"])
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            series._shells.cache_clear()
+        pair = series.gamma_series_pair(cfg, s, z, dplus, dminus,
+                                        data["order"])
+        runs.append(list(map(_bits, pair)))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def _bits(value):
     """Every field of a SeriesValue as raw bytes, so that -0.0 != 0.0."""
     return tuple(np.asarray(x, dtype=complex).tobytes()
