@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 residual above tolerance, 2 bad input,
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -35,6 +36,10 @@ EXIT_RESIDUAL = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
+
+# the exact identities' cost grows steeply with the degree: the largest
+# accepted degree takes about 3 s on a 2-core host
+_IDENTITIES_MAX_DEGREE = 50
 
 _BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,
               NotConvergent, NotUnimodular, SingularMatrix, KeyError,
@@ -66,8 +71,11 @@ def _encode(obj):
 
 
 def _emit(payload, out):
-    text = json.dumps(_encode(payload), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    try:
+        text = json.dumps(_encode(payload), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:        # NaN and Infinity are not JSON
+        raise OverflowError("a number of the output is not finite") from exc
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -149,6 +157,8 @@ def _cmd_ladders(args):
         if len(ct) != want:
             raise BadDimensions(f"ctilde needs {want} entries for n={args.n}, "
                                 f"got {len(ct)}")
+        if not all(math.isfinite(x) for x in ct):
+            raise BadDimensions("ctilde needs finite entries")
         payload["exponents"] = [
             {f"{i},{j}": v for (i, j), v in
              ladder_exponents(lad, ct, confluent=args.confluent).items()}
@@ -205,6 +215,9 @@ def _cmd_verify(args):
 
 
 def _cmd_identities(args):
+    if args.degree > _IDENTITIES_MAX_DEGREE:
+        raise BadDimensions(f"degree {args.degree} exceeds "
+                            f"{_IDENTITIES_MAX_DEGREE}")
     rng = random.Random(args.seed)
     rows = []
     ok = True

@@ -14,26 +14,27 @@ _TABLE_MAX; each series takes its complex log-Gamma once per pass, as a
 table indexed by those integers, and sums a term's entries column by column
 in the order numpy sums a short row (_rowsum).  The series of a simplex
 that a quadratic relation pairs, phi and phi^vee, share one pass over the
-shells.  All complex powers use the principal logarithm.
+shells.  All complex powers use the principal logarithm.  scipy.special
+(log-Gamma) is read through specfun._special, so it is imported by the first
+series evaluated, not by this module.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .errors import (BadDimensions, DivergentTail, NonGenericParameter,
                      ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
-from .specfun import _POLE_TOL, gamma
+from .specfun import _POLE_TOL, _special, gamma
 from .triangulation import Simplex, make_simplex
 
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
 _TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
+_SHELL_BYTES = 2 ** 25  # bytes of arrays the (q, M) shell cache may hold
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,49 @@ def _as_simplex(cfg, sigma):
     return make_simplex(cfg, sigma)
 
 
-@functools.lru_cache(maxsize=16)
-def _shells(q, M):
+def _build_shells(q, M):
     """(W, bounds, Wf, log_factorials) for graded_lex_shells(q, M): the rows,
     their shell bounds, the rows as floats and the row sums of log(w_i!), all
-    read-only and shared by every simplex and pass of that (q, M)."""
+    read-only."""
     W, bounds = intlinalg.graded_lex_shells(q, M)
     Wf = W.astype(float)
-    log_factorials = gammaln(np.arange(M + 1) + 1.0)[W].sum(axis=1)
+    log_factorials = _special().gammaln(np.arange(M + 1) + 1.0)[W].sum(axis=1)
     for a in (W, Wf, log_factorials):
         a.setflags(write=False)
     return W, tuple(bounds), Wf, log_factorials
+
+
+class _ShellCache:
+    """The shells of each (q, M) (_build_shells), shared by every simplex and
+    pass of that (q, M).  The arrays of the entries held take at most
+    max_bytes in all; the least recently used entries are evicted first, and
+    an entry larger than max_bytes is built and not kept."""
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = {}      # (q, M) -> (shells, bytes), oldest use first
+
+    def __call__(self, q, M):
+        hit = self._entries.pop((q, M), None)
+        if hit is not None:
+            self._entries[q, M] = hit
+            return hit[0]
+        shells = _build_shells(q, M)
+        size = shells[0].nbytes + shells[2].nbytes + shells[3].nbytes
+        if size <= self.max_bytes:
+            self._entries[q, M] = (shells, size)
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._entries.pop(next(iter(self._entries)))[1]
+        return shells
+
+    def cache_clear(self):
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_shells = _ShellCache(_SHELL_BYTES)
 
 
 def _coset_shells(simplex, kvec, M):
@@ -130,7 +163,7 @@ class _Job:
         E = np.repeat(1.0 + u0 if dual else 1.0 - u0, sizes) - wc
         pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
             & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-        self.log_gamma = loggamma(np.where(pole, 1.0, E))
+        self.log_gamma = _special().loggamma(np.where(pole, 1.0, E))
         self.pole = pole if pole.any() else None
         self.exponent = tuple(sign * u0)
         self.log_prefactor = sign * complex(u0 @ logz_sigma)

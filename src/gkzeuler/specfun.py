@@ -3,17 +3,25 @@ products.
 
 Gamma is scipy's complex Gamma behind an explicit pole guard: scipy returns
 nan at a complex pole, the guard raises PoleAtNonpositiveInteger instead.
+scipy.special is imported on the first Gamma evaluation (_special), not with
+this module, so the exact commands (triangulations, fans, ladders and the
+rational identities) never load scipy.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
-from scipy.special import gamma as _scipy_gamma
-
 from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
 
 _POLE_TOL = 1e-12
+
+
+def _special():
+    """scipy.special, imported on the first call: every Gamma evaluation of
+    the package reads its ufuncs (gamma, gammaln, loggamma) here."""
+    import scipy.special
+    return scipy.special
 
 
 def _is_nonpositive_integer(z):
@@ -28,7 +36,7 @@ def gamma(z):
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleAtNonpositiveInteger(f"Gamma pole at z={z}")
-    return complex(_scipy_gamma(z))
+    return complex(_special().gamma(z))
 
 
 def pochhammer(alpha, beta):

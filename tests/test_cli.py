@@ -1,17 +1,24 @@
 """Command line interface: JSON output shape, exit codes and determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzeuler import cli
+from gkzeuler.config import get_config, registry_names
 from gkzeuler.errors import ExhaustedRetries, UndefinedRatio
+from gkzeuler.intersection import case_names
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -151,10 +158,12 @@ def test_series_bad_sigma(capsys, sigma):
     "verify --case gauss --order -3",
     "fan-scan --config g1 --samples -2",
     "fan-scan --config g1 --samples 0",
-    # ctilde needs n+1 entries, or n with --confluent
+    # ctilde needs n+1 entries, or n with --confluent, all finite
     "ladders --k 2 --n 5 --ctilde=1,2",
     "ladders --k 2 --n 5 --ctilde=1,2,3,4,5,6,7,8",
     "ladders --k 2 --n 5 --confluent --ctilde=1,2,3,4,5,6,7",
+    "ladders --k 1 --n 3 --ctilde nan,1,2,3",
+    "ladders --k 1 --n 3 --ctilde inf,1,2,3",
     # the log-Gamma table of one series pass has a bounded size: the volume
     # 10^6 simplex needs 8 * 10^6 + 2 entries at order 8
     "series --config {huge} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
@@ -186,6 +195,8 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     # C(1502, 2) = 1,127,251 exponent vectors, beyond the 2^20 row bound
     "series --config g1 --sigma 2,3,4 --kvec 1,0 --delta 0.3,0.2,0.6 "
     "--z 1,1,1,1,0.1 --order 1500",
+    # the exact identities' cost grows steeply: degree 60 takes seconds
+    "identities --degree 160",
 ])
 def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     t0 = time.perf_counter()
@@ -241,6 +252,8 @@ def test_bad_config_document_exits_two(capsys, recwarn, tmp_path, doc):
     "--z 1,1,1,0.1 --order 5",
     # one shell is the whole sum, so no series of the relation is trusted
     "verify --case e36 --order 0",
+    # an exponent sum overflows, and JSON has no Infinity
+    "ladders --k 1 --n 3 --ctilde=1e308,1e308,1e308,1e308",
 ])
 def test_numeric_failure_exits_four(capsys, argv):
     code = cli.main(argv.split())
@@ -425,3 +438,142 @@ def test_exhausted_retries_and_undefined_ratio_exit_codes(capsys, monkeypatch,
     monkeypatch.setattr(cli, "enumerate_regular_triangulations", fail)
     assert _in_process(capsys, ["fan-scan", "--config", "g1"]) == \
         (code, "", f"{prefix}: {exc}\n")
+
+
+# runs each argv of sys.argv[1] through cli.main in order; prints, per argv,
+# the exit code and whether scipy has been imported by then
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from gkzeuler import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_series_commands_load_scipy():
+    # the exact commands never import scipy; the first Gamma evaluation does
+    exact = [["triangulate", "--config", "gamma2", "--omega", "7,1,2,5"],
+             ["fan-scan", "--config", "e36c", "--samples", "20"],
+             ["ladders", "--k", "2", "--n", "5", "--ctilde=1,2,3,4,5,6"],
+             ["identities", "--degree", "6"]]
+    series = ["series", "--config", "gauss", "--sigma", "1,2,3",
+              "--delta", "0.377,0.211,0.613", "--z", "1,1,1,0.05",
+              "--order", "12"]
+    verify = ["verify", "--case", "gauss"]
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for last in (series, verify):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(exact + [last])],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, False]] * 4 + [[0, True]]
+
+
+# the entries of the property test's number lists: the plain ones let a
+# request through to the computation, the others probe the input checks
+_PLAIN = ["2", "3", "0.3", "0.61", "0.17"]
+_ANY = _PLAIN + ["0", "1", "-1", "1e300", "1e-300", "nan", "inf", "-inf", "",
+                 str(10 ** 20)]
+_CONFIGS = registry_names() + ["nosuchconfig"]
+
+
+def _entries(size, pool):
+    return st.lists(st.sampled_from(pool), min_size=size,
+                    max_size=size).map(",".join)
+
+
+def _numbers(size, plain):
+    """A list of `size` plain entries; unless `plain`, also a list of `size`
+    entries of any kind, or a list of another length."""
+    if plain:
+        return _entries(size, _PLAIN)
+    return st.one_of(_entries(size, _PLAIN), _entries(size, _ANY),
+                     st.integers(0, 6).flatmap(lambda n: _entries(n, _ANY)))
+
+
+def _ints(size, low, high, plain):
+    """`size` integers in [low, high]; unless `plain`, also _numbers(size)."""
+    exact = st.lists(st.integers(low, high), min_size=size,
+                     max_size=size).map(lambda v: ",".join(map(str, v)))
+    return exact if plain else st.one_of(exact, _numbers(size, plain))
+
+
+def _sigma(d, N, plain):
+    """A d-subset of 1..N; unless `plain`, also _numbers(d)."""
+    subset = st.permutations(range(1, N + 1)).map(
+        lambda p: ",".join(map(str, sorted(p[:d]))))
+    return subset if plain else st.one_of(subset, _numbers(d, plain))
+
+
+@st.composite
+def _argv(draw):
+    """An argv that argparse accepts, every value given as --flag=value;
+    half of them carry only plain numbers, so that they reach the
+    computation."""
+    command = draw(st.sampled_from(["triangulate", "fan-scan", "ladders",
+                                    "series", "verify", "identities"]))
+    name = draw(st.sampled_from(_CONFIGS))
+    d, N = (get_config(name).d, get_config(name).N) \
+        if name in registry_names() else (3, 4)
+    plain = draw(st.booleans())
+    small = st.integers(-1, 3)
+    if command == "triangulate":
+        args = [f"--config={name}", f"--omega={draw(_ints(N, -3, 20, plain))}"]
+    elif command == "fan-scan":
+        args = [f"--config={name}", f"--samples={draw(small)}"]
+    elif command == "ladders":
+        n = draw(st.integers(1, 5))
+        k = draw(st.integers(0, n))
+        confluent = draw(st.booleans())
+        args = [f"--k={k}", f"--n={n}"] + (["--confluent"] if confluent
+                                           else [])
+        if draw(st.booleans()):
+            args.append(
+                f"--ctilde={draw(_numbers(n if confluent else n + 1, plain))}")
+    elif command == "series":
+        args = [f"--config={name}", f"--sigma={draw(_sigma(d, N, plain))}",
+                f"--delta={draw(_numbers(d, plain))}",
+                f"--z={draw(_numbers(N, plain))}",
+                f"--order={draw(st.integers(-1, 6))}"]
+        if draw(st.booleans()):
+            args.append(f"--kvec={draw(_ints(N - d, 0, 2, plain))}")
+        if draw(st.booleans()):
+            args.append("--dual")
+    elif command == "verify":
+        args = [f"--case={draw(st.sampled_from(case_names()))}",
+                f"--order={draw(st.integers(-1, 8))}"]
+    else:
+        args = [f"--degree={draw(small)}"]
+    seed = draw(st.sampled_from([0, 1, 7, 10 ** 20]))
+    return [command, *args, f"--seed={seed}"]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=_argv())
+def test_every_argv_keeps_the_output_contract(argv):
+    # one JSON line on stdout and nothing on stderr, or nothing on stdout
+    # and one line on stderr; a warning would print more stderr lines
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if out:
+        assert code in (cli.EXIT_OK, cli.EXIT_RESIDUAL, cli.EXIT_NUMERIC)
+        assert out.count("\n") == 1 and out.endswith("\n") and err == ""
+        _strict_json(out)
+    else:
+        assert code in (cli.EXIT_BAD_INPUT, cli.EXIT_DEGENERATE,
+                        cli.EXIT_NUMERIC)
+        assert err.count("\n") == 1 and err.endswith("\n")

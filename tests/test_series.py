@@ -250,6 +250,49 @@ def test_shell_cache_is_read_only_and_cold_equals_warm():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_shell_cache_holds_at_most_its_byte_bound():
+    # a sweep of large keys evicts the least recently used entries and keeps
+    # the arrays held under the bound; an entry above the bound is built and
+    # not kept; every entry equals a fresh build
+    def nbytes(shells):
+        return shells[0].nbytes + shells[2].nbytes + shells[3].nbytes
+
+    bound = 3 * nbytes(series._build_shells(2, 216))
+    cache = series._ShellCache(bound)
+    for M in range(200, 216):
+        shells = cache(2, M)
+        fresh = series._build_shells(2, M)
+        assert shells[1] == fresh[1]
+        for a, b in zip(shells[::2] + shells[3:], fresh[::2] + fresh[3:]):
+            assert a.tobytes() == b.tobytes()
+        assert cache.nbytes <= bound
+    assert list(cache._entries) == [(2, 213), (2, 214), (2, 215)]
+    cache(2, 213)                # now used more recently than 214 and 215
+    cache(2, 216)
+    held = dict(cache._entries)
+    assert list(held) == [(2, 215), (2, 213), (2, 216)]
+    assert cache.nbytes == sum(nbytes(s) for s, _ in held.values()) <= bound
+    assert cache(2, 215) is held[2, 215][0]
+    big = cache(3, 120)
+    assert nbytes(big) > bound and (3, 120) not in cache._entries
+    assert cache(2, 100) is cache(2, 100)
+
+
+def test_shell_cache_keeps_every_key_of_the_named_relations(monkeypatch):
+    # the warm requests of every named relation find all their shells held
+    series._shells.cache_clear()
+    for name in intersection.case_names():
+        intersection.verify_case(name, seed=0)
+
+    def rebuild(q, M):
+        raise AssertionError(f"shells ({q}, {M}) were evicted")
+
+    monkeypatch.setattr(series, "_build_shells", rebuild)
+    for name in intersection.case_names():
+        intersection.verify_case(name, seed=1)
+    assert series._shells.nbytes <= series._SHELL_BYTES
+
+
 def _bits(value):
     """Every field of a SeriesValue as raw bytes, so that -0.0 != 0.0."""
     return tuple(np.asarray(x, dtype=complex).tobytes()
