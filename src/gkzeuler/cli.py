@@ -37,8 +37,9 @@ EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 
-# the exact identities' cost grows steeply with the degree: the largest
-# accepted degree takes about 3 s on a 2-core host
+# the exact identities' cost grows steeply with the degree (Fractions of
+# growing size): the largest accepted degree takes about 0.5 s on a 2-core
+# host
 _IDENTITIES_MAX_DEGREE = 50
 
 _BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,

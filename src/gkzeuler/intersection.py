@@ -21,9 +21,9 @@ from .errors import (DegenerateParameter, DivergentTail, NotConvergent,
 from .config import aomoto_gelfand_config, confluent_config, get_config
 from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
-from .series import (_as_simplex, gamma_series_pair, transformation_matrix,
+from .series import (_as_simplex, gamma_series_pairs, transformation_matrix,
                      transformation_matrix_dual)
-from .specfun import pochhammer, pochhammer_exact, sin_pi_product
+from .specfun import pochhammer, sin_pi_product
 
 _TWO_PI_I = 2j * math.pi
 
@@ -221,12 +221,18 @@ def assembled_weight(cfg, sigma, delta, twist):
 
 
 def _relation_sum(cfg, tri, delta, twist, z, M, weight):
-    """sum over simplices of weight(simplex) phi(delta+) phi_dual(delta-)."""
+    """sum over simplices of weight(simplex) phi(delta+) phi_dual(delta-).
+    The series of all simplices share one pass; each simplex's weight, then
+    its pair or the error of its own pass, is taken in turn, so the first
+    failure in simplex order is raised."""
     dplus, dminus = twisted_deltas(cfg, delta, twist)
+    pairs = gamma_series_pairs(cfg, tri.simplices, z, dplus, dminus, M)
     total = 0j
-    for s in tri.simplices:
+    for s, pair in zip(tri.simplices, pairs):
         w = weight(s)
-        f, fd = gamma_series_pair(cfg, s, z, dplus, dminus, M)
+        if isinstance(pair, Exception):
+            raise pair
+        f, fd = pair
         if not (f.trusted and fd.trusted):
             raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
         total += w * f.value * fd.value
@@ -461,46 +467,50 @@ def verify_case(name, seed=0, order=None):
 # Exact rational coefficient identities.
 # ---------------------------------------------------------------------------
 
+def _rising_products(x, n):
+    """[(x)_0, (x)_1, ..., (x)_n] for a Fraction x, each from the one
+    before: (x)_l = (x)_{l-1} (x + l - 1)."""
+    out = [Fraction(1)]
+    for i in range(n):
+        out.append(out[-1] * (x + i))
+    return out
+
+
 def exact_coefficient_identity(kind, degree, alpha, beta=None, gamma=None):
     """Exact rational check of the degree-n coefficient identity implied by
     the quadratic relation of a classical series; returns LHS - RHS as a
-    Fraction (zero when the identity holds)."""
+    Fraction (zero when the identity holds).  Term l pairs rising products
+    of length l and m = n - l, read off one table per base."""
     n = degree
-    one = Fraction(1)
     if kind == "gauss":
         a, b, g = Fraction(alpha), Fraction(beta), Fraction(gamma)
+        (pa, pb, pg, p1, pna, pnb, p2g, pga, pgb, pa1, pb1) = (
+            _rising_products(x, n)
+            for x in (a, b, g, Fraction(1), -a, -b, 2 - g, g - a - 1,
+                      g - b - 1, 1 - g + a, 1 - g + b))
         lhs = Fraction(0)
         rhs = Fraction(0)
         for l in range(n + 1):
             m = n - l
-            lhs += (pochhammer_exact(a, l) * pochhammer_exact(b, l)
-                    / (pochhammer_exact(g, l) * pochhammer_exact(one, l))
-                    * pochhammer_exact(-a, m) * pochhammer_exact(-b, m)
-                    / (pochhammer_exact(2 - g, m)
-                       * pochhammer_exact(one, m)))
-            rhs += (pochhammer_exact(g - a - 1, l)
-                    * pochhammer_exact(g - b - 1, l)
-                    / (pochhammer_exact(g, l) * pochhammer_exact(one, l))
-                    * pochhammer_exact(1 - g + a, m)
-                    * pochhammer_exact(1 - g + b, m)
-                    / (pochhammer_exact(2 - g, m)
-                       * pochhammer_exact(one, m)))
+            lhs += (pa[l] * pb[l] / (pg[l] * p1[l])
+                    * pna[m] * pnb[m] / (p2g[m] * p1[m]))
+            rhs += (pga[l] * pgb[l] / (pg[l] * p1[l])
+                    * pa1[m] * pb1[m] / (p2g[m] * p1[m]))
         return (1 - g + a) * (1 - g + b) * lhs - a * b * rhs
     if kind == "kummer":
         a, g = Fraction(alpha), Fraction(gamma)
+        (pa, pna, pg, p2g, p1, pag, pga) = (
+            _rising_products(x, n)
+            for x in (a, -a, g, 2 - g, Fraction(1), 1 + a - g, g - a - 1))
         s1 = Fraction(0)
         s2 = Fraction(0)
         for l in range(n + 1):
             m = n - l
             sign = -1 if m % 2 else 1
-            s1 += (sign * pochhammer_exact(a, l) * pochhammer_exact(-a, m)
-                   / (pochhammer_exact(g, l) * pochhammer_exact(one, l)
-                      * pochhammer_exact(2 - g, m)
-                      * pochhammer_exact(one, m)))
-            s2 += (sign * pochhammer_exact(1 + a - g, l)
-                   * pochhammer_exact(g - a - 1, m)
-                   / (pochhammer_exact(2 - g, l) * pochhammer_exact(one, l)
-                      * pochhammer_exact(g, m) * pochhammer_exact(one, m)))
+            s1 += (sign * pa[l] * pna[m]
+                   / (pg[l] * p1[l] * p2g[m] * p1[m]))
+            s2 += (sign * pag[l] * pga[m]
+                   / (p2g[l] * p1[l] * pg[m] * p1[m]))
         return (g - a - 1) * s1 + a * s2
     raise KeyError(f"unknown identity kind {kind!r}")
 

@@ -12,9 +12,12 @@ deterministic.  The Gamma arguments of a term w are c - (C_int w) / r, with
 C_int w exact integers, read off a float product that is exact below
 _TABLE_MAX; each series takes its complex log-Gamma once per pass, as a
 table indexed by those integers, and sums a term's entries column by column
-in the order numpy sums a short row (_rowsum).  The series of a simplex
-that a quadratic relation pairs, phi and phi^vee, share one pass over the
-shells.  All complex powers use the principal logarithm.  scipy.special
+in the order numpy sums a short row (_rowsum).  The series a quadratic
+relation pairs, phi and phi^vee on every simplex of a unimodular
+triangulation, share one pass over the shells: their terms fill the rows of
+one (series x rows) array per block, and the shell maxima and sums are taken
+over that array, each row bit for bit as its series alone.  All complex
+powers use the principal logarithm.  scipy.special
 (log-Gamma) is read through specfun._special, so it is imported by the first
 series evaluated, not by this module.
 """
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDimensions, DivergentTail, NonGenericParameter,
-                     ScaleTooSmall)
+from .errors import (BadDimensions, DivergentTail, GkzError,
+                     NonGenericParameter, ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
 from .specfun import _POLE_TOL, _special, gamma
@@ -35,6 +38,9 @@ from .triangulation import Simplex, make_simplex
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
 _TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
 _SHELL_BYTES = 2 ** 25  # bytes of arrays the (q, M) shell cache may hold
+# what the pass of one simplex raises on its inputs and results; a stacked
+# pass returns it for that simplex (cmath.exp may overflow the prefactor)
+_SERIES_ERRORS = (GkzError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -149,9 +155,20 @@ def _rowsum(cols):
     return 0.0 + sum(cols[full:], acc[0])
 
 
+def _compensated_sum(values):
+    """The Kahan sum of `values`, left to right."""
+    total = comp = 0j
+    for x in values:
+        y = x - comp
+        new_total = total + y
+        comp = (new_total - total) - y
+        total = new_total
+    return total
+
+
 class _Job:
-    """One series of a `_sum_series` pass: its log-Gamma table, the
-    prefactor z_sigma^(-+u0) and the compensated sum of its shells."""
+    """One series of a `_sum_series` pass: its log-Gamma table and the
+    prefactor z_sigma^(-+u0)."""
 
     def __init__(self, simplex, logz_sigma, delta, dual, sizes, wc):
         u0 = (simplex.inv_float     # A_sigma^{-1} delta
@@ -167,48 +184,88 @@ class _Job:
         self.pole = pole if pole.any() else None
         self.exponent = tuple(sign * u0)
         self.log_prefactor = sign * complex(u0 @ logz_sigma)
-        self.total = 0j
-        self.comp = 0j     # Kahan compensation across shells
-        self.terms = 0
-        self.shell_maxes = []
 
-    def add_block(self, t, shells):
-        """Adds the terms t[a:b] of each shell (a, b) of a block, in order."""
-        # one segment per non-empty shell: each ends where the next begins
-        filled = [a for a, b in shells if b > a]
-        maxes = iter(np.maximum.reduceat(np.abs(t), filled).tolist()
-                     if filled else ())
-        for a, b in shells:
-            if a == b:
-                self.shell_maxes.append(0.0)
-                continue
-            shell_sum = complex(t[a:b].sum())
-            self.shell_maxes.append(next(maxes))
-            self.terms += b - a
-            y = shell_sum - self.comp
-            new_total = self.total + y
-            self.comp = (new_total - self.total) - y
-            self.total = new_total
-
-    def result(self, sigma, M):
-        value = cmath.exp(self.log_prefactor) * self.total
+    def result(self, sigma, M, total, shell_maxes, terms):
+        value = cmath.exp(self.log_prefactor) * total
         if not cmath.isfinite(value):
             raise DivergentTail(f"a term or the sum is not finite at "
                                 f"sigma={sigma}")
-        tail = [x for x in self.shell_maxes if x > 0][-3:]
+        tail = [x for x in shell_maxes if x > 0][-3:]
         if len(tail) == 3 and tail[0] < tail[1] < tail[2]:
             raise DivergentTail(
                 f"shell maxima increasing at sigma={sigma}: {tail}")
         # one entry per shell of degree 0..M, so never empty
-        return SeriesValue(value=value, order=M, terms_summed=self.terms,
-                           last_shell_max=self.shell_maxes[-1],
-                           shell_maxes=tuple(self.shell_maxes),
-                           exponent=self.exponent, series_abs=abs(self.total))
+        return SeriesValue(value=value, order=M, terms_summed=terms,
+                           last_shell_max=shell_maxes[-1],
+                           shell_maxes=tuple(shell_maxes),
+                           exponent=self.exponent, series_abs=abs(total))
+
+
+class _Part:
+    """The jobs of one simplex in a `_sum_series` pass, with what its blocks
+    share: the log-monomial exponents, the table offsets and the dual
+    phases.  Raises the simplex's own errors: a table above _TABLE_MAX, then
+    a delta that is not very generic, checked once per distinct delta in the
+    order of `jobs`."""
+
+    def __init__(self, cfg, simplex, logz, M, jobs):
+        sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
+        # as w >= 0 and |w| <= M, K_i lies in [lo_i, lo_i + sizes_i)
+        lo = M * simplex.C_int.min(axis=1, initial=0)
+        sizes = M * simplex.C_int.max(axis=1, initial=0) - lo + 1
+        if sizes.sum() > _TABLE_MAX:
+            raise BadDimensions(f"order {M} at sigma={sigma} needs a "
+                                f"log-Gamma table of {sizes.sum()} > "
+                                f"{_TABLE_MAX} entries")
+        checked = set()
+        for delta, _ in jobs:
+            if tuple(delta) in checked:
+                continue
+            if not is_very_generic(simplex, delta):
+                raise NonGenericParameter(
+                    f"delta={delta} hits an integer entry for sigma={sigma}")
+            checked.add(tuple(delta))
+        sizes = sizes.astype(np.int64)
+        self.offset = np.cumsum(sizes) - sizes - lo.astype(np.int64)
+        wc = (np.arange(sizes.sum()) - np.repeat(self.offset, sizes)) \
+            / simplex.r     # at = K + offset
+        logz_sigma = np.array([logz[j - 1] for j in sigma])
+        self.logx = np.array([logz[j - 1] for j in sigma_bar]) \
+            - (C.T @ logz_sigma[:, None]).ravel()
+        self.jobs = [_Job(simplex, logz_sigma, delta, dual, sizes, wc)
+                     for delta, dual in jobs]
+        # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
+        self.bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
+        self.srow = C[simplex.pos0, :].sum(axis=0)
+        self.C_int = simplex.C_int.astype(float)   # |K| < _TABLE_MAX: exact
+        self.sigma = sigma
+
+    def fill(self, T, Wf, log_factorials):
+        """Writes the terms of job j at the rows Wf into T[j]."""
+        logmono = Wf @ self.logx - log_factorials
+        # each term's table entry, per column: at[i] = K_i + offset_i
+        at = (self.C_int @ Wf.T).astype(np.intp) + self.offset[:, None]
+        for job, t in zip(self.jobs, T):
+            logt = logmono - _rowsum([job.log_gamma[a] for a in at])
+            if job.dual:
+                logt += 1j * math.pi * (Wf[:, self.bar0].sum(axis=1)
+                                        if self.bar0 else 0.0)
+                logt += 1j * math.pi * (Wf @ self.srow)
+            np.exp(logt, out=t)
+            if job.pole is not None:
+                t[job.pole[at].any(axis=0)] = 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")   # checked: value is finite
-def _sum_series(cfg, simplex, kvec, z, M, jobs):
-    """The series (delta, dual) of `jobs` on one simplex, in one pass.
+def _sum_series(cfg, simplices, kvec, z, M, jobs):
+    """The series (delta, dual) of `jobs` on each of `simplices`, in one
+    pass over the shells they share.
+
+    `simplices` is one Simplex, or a sequence of simplices that share one
+    row set: unimodular ones with kvec None.  For one Simplex the result is
+    its list of SeriesValues, one per job, and its errors are raised.  For a
+    sequence it is, per simplex, that list or the exception the simplex's
+    own pass would raise, so that a caller can raise each in its turn.
 
     The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
     in exact integers.  Each series takes one complex log-Gamma per integer
@@ -216,52 +273,52 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
     them at the entries of C_int @ W^T, a float product that is exact as
     every partial sum is an integer below _TABLE_MAX, and sums each term's
     d entries column by column in numpy's order (_rowsum).  The rows, their
-    float view and the log-factorial sums come from the (q, M) shell cache;
-    the log-monomials are computed once per block and shared; each series
-    then takes its own phases and compensated shell sums.  Very-genericity
-    is checked once per distinct delta, in the order of `jobs`.
+    float view and the log-factorial sums come from the (q, M) shell cache.
+    Per block, each simplex takes its log-monomials and dual phases, each
+    series its terms, exponentiated into its row of one (series x rows)
+    array; the shell maxima, the shell sums and their compensated
+    accumulation are then taken for all rows of that array at once.  Each
+    row comes out bit for bit as a pass of its series alone.
     """
-    sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
-    q = len(sigma_bar)
-    if M < 0:
-        raise BadDimensions(f"order must be >= 0, got {M}")
-    if kvec is not None and len(kvec) != q:
-        raise BadDimensions(f"kvec needs {q} entries, one per column "
-                            f"outside sigma={sigma}, got {len(kvec)}")
-    if any(x == 0 for x in z):
-        raise BadDimensions("z lies in (C*)^N: no entry may be zero")
-    if not all(cmath.isfinite(x) for delta, _ in jobs for x in (*z, *delta)):
-        raise BadDimensions("z and delta need finite entries")
-    # as w >= 0 and |w| <= M, K_i lies in [lo_i, lo_i + sizes_i)
-    lo = M * simplex.C_int.min(axis=1, initial=0)
-    sizes = M * simplex.C_int.max(axis=1, initial=0) - lo + 1
-    if sizes.sum() > _TABLE_MAX:
-        raise BadDimensions(f"order {M} at sigma={sigma} needs a log-Gamma "
-                            f"table of {sizes.sum()} > {_TABLE_MAX} entries")
-    checked = set()
-    for delta, _ in jobs:
-        if tuple(delta) in checked:
-            continue
-        if not is_very_generic(simplex, delta):
-            raise NonGenericParameter(
-                f"delta={delta} hits an integer entry for sigma={sigma}")
-        checked.add(tuple(delta))
-    sizes = sizes.astype(np.int64)
-    offset = np.cumsum(sizes) - sizes - lo.astype(np.int64)   # at = K + offset
-    wc = (np.arange(sizes.sum()) - np.repeat(offset, sizes)) / simplex.r
-    z = np.asarray([complex(x) for x in z])
-    logz = np.log(z)
-    logz_sigma = np.array([logz[j - 1] for j in sigma])
-    logx = np.array([logz[j - 1] for j in sigma_bar]) \
-        - (C.T @ logz_sigma[:, None]).ravel()
-    jobs = [_Job(simplex, logz_sigma, delta, dual, sizes, wc)
-            for delta, dual in jobs]
-    # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
-    bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-    srow = C[simplex.pos0, :].sum(axis=0)
+    if isinstance(simplices, Simplex):
+        out, = _sum_series(cfg, [simplices], kvec, z, M, jobs)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    if len(simplices) > 1 and (kvec is not None
+                               or any(s.r != 1 for s in simplices)):
+        raise ValueError("simplices of one pass must share their rows: "
+                         "unimodular, with kvec None")
+    q = len(simplices[0].bar)
+    try:
+        if M < 0:
+            raise BadDimensions(f"order must be >= 0, got {M}")
+        if kvec is not None and len(kvec) != q:
+            raise BadDimensions(f"kvec needs {q} entries, one per column "
+                                f"outside sigma={simplices[0].indices}, "
+                                f"got {len(kvec)}")
+        if any(x == 0 for x in z):
+            raise BadDimensions("z lies in (C*)^N: no entry may be zero")
+        if not all(cmath.isfinite(x) for delta, _ in jobs
+                   for x in (*z, *delta)):
+            raise BadDimensions("z and delta need finite entries")
+        logz = np.log(np.asarray([complex(x) for x in z]))
+    except _SERIES_ERRORS as exc:
+        return [exc] * len(simplices)
+    outs, parts = [], []
+    for s in simplices:
+        try:
+            parts.append(_Part(cfg, s, logz, M, jobs))
+            outs.append(parts[-1])
+        except _SERIES_ERRORS as exc:
+            outs.append(exc)
+    if not parts:
+        return outs
 
-    _, bounds, rows_f, log_factorials = _coset_shells(simplex, kvec, M)
-    C_int = simplex.C_int.astype(float)    # |K| < _TABLE_MAX: exact in float
+    _, bounds, rows_f, log_factorials = _coset_shells(simplices[0], kvec, M)
+    rows = len(parts) * len(jobs)
+    maxes = np.zeros((rows, M + 1))     # max |term| per series and shell
+    sums = np.zeros((M + 1, rows), dtype=complex)   # per shell and series
     # blocks: runs of whole shells of at most _BLOCK_ROWS rows, a larger shell
     # alone (other cuts change bits: numpy takes a 1-row product another way)
     cuts = [0]
@@ -269,23 +326,36 @@ def _sum_series(cfg, simplex, kvec, z, M, jobs):
         if bounds[deg + 1] - bounds[cuts[-1]] > _BLOCK_ROWS:
             cuts.append(deg)
     for first, last in zip(cuts, cuts[1:] + [M + 1]):
-        Wf = rows_f[bounds[first]:bounds[last]]
-        logmono = Wf @ logx - log_factorials[bounds[first]:bounds[last]]
-        # each term's table entry, per column: at[i] = K_i + offset_i
-        at = (C_int @ Wf.T).astype(np.intp) + offset[:, None]
-        ends = [b - bounds[first] for b in bounds[first:last + 1]]
-        shells = list(zip(ends, ends[1:]))     # rows of each shell
-        for job in jobs:
-            logt = logmono - _rowsum([job.log_gamma[a] for a in at])
-            if job.dual:
-                logt += 1j * math.pi * (Wf[:, bar0].sum(axis=1) if bar0
-                                        else 0.0)
-                logt += 1j * math.pi * (Wf @ srow)
-            t = np.exp(logt)
-            if job.pole is not None:
-                t[job.pole[at].any(axis=0)] = 0.0
-            job.add_block(t, shells)
-    return [job.result(sigma, M) for job in jobs]
+        a0, a1 = bounds[first], bounds[last]
+        T = np.empty((rows, a1 - a0), dtype=complex)
+        for i, part in enumerate(parts):
+            part.fill(T[i * len(jobs):(i + 1) * len(jobs)], rows_f[a0:a1],
+                      log_factorials[a0:a1])
+        # the non-empty shells: each segment ends where the next begins
+        filled = [deg for deg in range(first, last)
+                  if bounds[deg + 1] > bounds[deg]]
+        if filled:
+            starts = [bounds[deg] - a0 for deg in filled]
+            maxes[:, filled] = np.maximum.reduceat(np.abs(T), starts, axis=1)
+        for deg in filled:
+            T[:, bounds[deg] - a0:bounds[deg + 1] - a0].sum(axis=1,
+                                                             out=sums[deg])
+    filled = [deg for deg in range(M + 1) if bounds[deg + 1] > bounds[deg]]
+    totals = [_compensated_sum(col) for col in sums[filled].T.tolist()]
+    shell_maxes = maxes.tolist()
+    terms = bounds[M + 1]
+    j = 0
+    for i, part in enumerate(outs):
+        if not isinstance(part, _Part):
+            continue
+        try:
+            outs[i] = [job.result(part.sigma, M, totals[j + n],
+                                  shell_maxes[j + n], terms)
+                       for n, job in enumerate(part.jobs)]
+        except _SERIES_ERRORS as exc:
+            outs[i] = exc
+        j += len(jobs)
+    return outs
 
 
 def gamma_series(cfg, sigma, kvec, z, delta, M):
@@ -306,6 +376,14 @@ def gamma_series_pair(cfg, sigma, z, delta_plus, delta_minus, M):
     the single-series call bit for bit."""
     return tuple(_sum_series(cfg, _as_simplex(cfg, sigma), None, z, M,
                              [(delta_plus, False), (delta_minus, True)]))
+
+
+def gamma_series_pairs(cfg, simplices, z, delta_plus, delta_minus, M):
+    """For each of `simplices`, unimodular simplices of one configuration,
+    its gamma_series_pair, or the exception that call would raise; the
+    series of all of them share one pass over the shells."""
+    return _sum_series(cfg, simplices, None, z, M,
+                       [(delta_plus, False), (delta_minus, True)])
 
 
 def sample_point_in_UT(cfg, tri, t=5.0):

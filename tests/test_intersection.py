@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import gauss_relation_residual, kummer_relation_residual
 
-from gkzeuler import config, intersection, triangulation
-from gkzeuler.errors import NotUnimodular, ZeroDenominator
+from gkzeuler import config, intersection, series, triangulation
+from gkzeuler.errors import (BadDimensions, DivergentTail,
+                             NonGenericParameter, NotUnimodular, SineZero,
+                             ZeroDenominator)
 
 _params = st.floats(min_value=0.07, max_value=0.93,
                     allow_nan=False, allow_infinity=False)
@@ -112,6 +114,92 @@ def test_quadratic_lhs_two_routes_agree(name):
                                              data["delta"], data["twist"],
                                              data["z"], 20)
     assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
+
+
+def _relation_sum_per_simplex(cfg, tri, delta, twist, z, M, weight):
+    """The relation sum one simplex at a time: its weight, then its own
+    gamma_series_pair, then the trust check."""
+    dplus, dminus = intersection.twisted_deltas(cfg, delta, twist)
+    total = 0j
+    for s in tri.simplices:
+        w = weight(s)
+        f, fd = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+        if not (f.trusted and fd.trusted):
+            raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
+        total += w * f.value * fd.value
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", complex(fn(*args))
+    except Exception as exc:          # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_relation_sum_raises_the_first_failure_in_simplex_order(monkeypatch):
+    # the stacked pass evaluates every simplex at once, yet the error raised
+    # is the one the per-simplex loop meets first: a simplex's weight, then
+    # its series, then their trust, before any later simplex
+    data = intersection.CASES["phi1"](np.random.default_rng(0))
+    cfg, tri, delta, twist, z = (data["cfg"], data["tri"], data["delta"],
+                                 data["twist"], data["z"])
+    first, middle, last = (s.indices for s in tri.simplices)
+    non_generic = set()
+
+    def generic(simplex, d):
+        return (simplex.indices not in non_generic
+                and config.is_very_generic(simplex, d))
+
+    def weight_failing_at(*bad):
+        def weight(s):
+            if s.indices in bad:
+                raise SineZero(f"sin(pi z) vanishes at sigma={s.indices}")
+            return intersection.condensed_weight(cfg, s, delta)
+        return weight
+
+    monkeypatch.setattr(series, "is_very_generic", generic)
+    cases = [
+        # (non-generic simplices, simplices whose weight raises, M, expected)
+        ({last}, (), 0, DivergentTail),          # untrusted first simplex
+        ({last}, (first,), 40, SineZero),
+        ({middle}, (last,), 40, NonGenericParameter),
+        ({first}, (first,), 40, SineZero),
+        ((), (first,), -1, SineZero),
+        ((), (middle,), -1, BadDimensions),
+        ((), (), 40, "ok"),
+    ]
+    for bad_delta, bad_weight, M, expected in cases:
+        non_generic.clear()
+        non_generic.update(bad_delta)
+        weight = weight_failing_at(*bad_weight)
+        got = _outcome(intersection._relation_sum, cfg, tri, delta, twist, z,
+                       M, weight)
+        want = _outcome(_relation_sum_per_simplex, cfg, tri, delta, twist, z,
+                        M, weight)
+        assert got == want, (bad_delta, bad_weight, M)
+        assert got[0] == expected, (bad_delta, bad_weight, M)
+
+
+@pytest.mark.parametrize("name", ["phi1", "ag"])
+def test_relation_sum_checks_genericity_once_per_distinct_delta(monkeypatch,
+                                                                name):
+    data = intersection.CASES[name](np.random.default_rng(0))
+    cfg, tri = data["cfg"], data["tri"]
+    dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                data["twist"])
+    seen = []
+
+    def counted(simplex, d):
+        seen.append((simplex.indices, tuple(d)))
+        return config.is_very_generic(simplex, d)
+
+    monkeypatch.setattr(series, "is_very_generic", counted)
+    intersection.quadratic_lhs(cfg, tri, data["delta"], data["twist"],
+                               data["z"], 8)
+    deltas = [dplus] if dplus == dminus else [dplus, dminus]
+    assert (name == "ag") == (len(deltas) == 2)
+    assert seen == [(s.indices, d) for s in tri.simplices for d in deltas]
 
 
 def test_verify_case_all_names_pass():

@@ -323,6 +323,29 @@ def test_series_pair_matches_single_series_bit_for_bit(name):
     assert twisted == (name == "ag")
 
 
+@pytest.mark.parametrize("block_rows", [1, 5, 64, 4096])
+@pytest.mark.parametrize("name", sorted(intersection.CASES))
+def test_stacked_relation_pass_matches_per_simplex_pairs(monkeypatch, name,
+                                                         block_rows):
+    # the series of all simplices of a relation share one pass and one
+    # (series x rows) array per block; every field of every SeriesValue must
+    # equal the simplex's own gamma_series_pair, whatever the block size
+    monkeypatch.setattr(series, "_BLOCK_ROWS", block_rows)
+    for seed in range(5):
+        data = intersection.CASES[name](np.random.default_rng(seed))
+        cfg, tri, z = data["cfg"], data["tri"], data["z"]
+        dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                    data["twist"])
+        for M in (data["order"], 0, 2, 8):
+            got = series.gamma_series_pairs(cfg, tri.simplices, z, dplus,
+                                            dminus, M)
+            assert len(got) == len(tri.simplices)
+            for s, pair in zip(tri.simplices, got):
+                want = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+                assert list(map(_bits, pair)) == list(map(_bits, want)), \
+                    (seed, M, s.indices)
+
+
 def test_series_pass_through_gamma_poles_matches_single_series():
     # sigma = (1, 2) has volume 4 and C = (3/4, 1/4).  On Lambda_3 (w = 3
     # mod 4), delta+ gives (u0 + C w)_2 = (w - 7) / 4: an integer on every
