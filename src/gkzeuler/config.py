@@ -164,10 +164,9 @@ def is_very_generic(simplex, delta):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
     within 1e-9 of an integer for all m >= 0 with |m| <= 2."""
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    from .series import _shells    # series imports this module
-    ent = u0[None, :] + _shells(len(simplex.bar), 2)[2] @ simplex.C_float.T
-    return not np.any((np.abs(ent.real - np.round(ent.real)) < 1e-9)
-                      & (np.abs(ent.imag) < 1e-9))
+    ent = u0[None, :] + simplex.genericity_lattice
+    return not ((np.abs(ent.real - ent.real.round()) < 1e-9)
+                & (np.abs(ent.imag) < 1e-9)).any()
 
 
 def _is_matrix(rows, kinds):

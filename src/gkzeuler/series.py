@@ -10,21 +10,27 @@ all three.  Terms are evaluated in log-space over blocks of whole shells,
 and summed shell by shell with compensated accumulation, so results are
 deterministic.  The Gamma arguments of a term w are c - (C_int w) / r, with
 C_int w exact integers, read off a float product that is exact below
-_TABLE_MAX; each series takes its complex log-Gamma once per pass, as a
-table indexed by those integers, and sums a term's entries column by column
-in the order numpy sums a short row (_rowsum).  The series a quadratic
-relation pairs, phi and phi^vee on every simplex of a unimodular
-triangulation, share one pass over the shells: their terms fill the rows of
-one (series x rows) array per block, and the shell maxima and sums are taken
-over that array, each row bit for bit as its series alone.  All complex
-powers use the principal logarithm.  scipy.special
-(log-Gamma) is read through specfun._special, so it is imported by the first
-series evaluated, not by this module.
+_TABLE_MAX.  Each series tables its arguments at the integers of each
+K_i's range that its coset reaches (K_i = (C_int k)_i mod r, every r-th),
+and a pass takes the complex log-Gamma of the tables of all its series in
+one call; a term sums its entries column by column in the order numpy sums
+a short row (_rowsum).  The series a quadratic relation pairs, phi and
+phi^vee on every simplex of a unimodular triangulation, share one pass over
+the shells: their terms fill the rows of one (series x rows) array per
+block, and the shell maxima and sums are taken over that array, each row
+bit for bit as its series alone.  What a pass reads of a simplex on every
+call (C_int as floats, its row bounds, the dual row sum srow and the
+genericity lattice) are lazy views kept on the Simplex; the table layout,
+which depends on M, is rebuilt by each pass.  All complex powers use the
+principal logarithm.  scipy.special (log-Gamma) is read through
+specfun._special, so it is imported by the first series evaluated, not by
+this module.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -111,6 +117,12 @@ class _ShellCache:
 _shells = _ShellCache(_SHELL_BYTES)
 
 
+def _residues(simplex, kvec):
+    """C_int k mod r, Python ints; k = 0 when kvec is None."""
+    k = kvec if kvec is not None else [0] * len(simplex.bar)
+    return simplex.C_int @ np.array(k, dtype=object) % simplex.r
+
+
 def _coset_shells(simplex, kvec, M):
     """The rows of _shells(q, M) in Lambda_k, as (W, bounds, Wf,
     log_factorials), read-only: C_int (w - k) = 0 mod r, tested as
@@ -120,7 +132,7 @@ def _coset_shells(simplex, kvec, M):
     W, bounds, Wf, log_factorials = _shells(q, M)
     if r == 1:
         return W, list(bounds), Wf, log_factorials
-    t = C @ np.array(kvec if kvec is not None else [0] * q, dtype=object) % r
+    t = _residues(simplex, kvec)
     if M * q * np.abs(C).max(initial=0) + r < 2 ** 63:
         C, t = C.astype(np.int64), t.astype(np.int64)
     keep = ((W @ C.T - t) % r == 0).all(axis=1)
@@ -167,21 +179,15 @@ def _compensated_sum(values):
 
 
 class _Job:
-    """One series of a `_sum_series` pass: its log-Gamma table and the
-    prefactor z_sigma^(-+u0)."""
+    """One series of a `_sum_series` pass: the constants c of its Gamma
+    arguments and the prefactor z_sigma^(-+u0)."""
 
-    def __init__(self, simplex, logz_sigma, delta, dual, sizes, wc):
+    def __init__(self, simplex, logz_sigma, delta, dual):
         u0 = (simplex.inv_float     # A_sigma^{-1} delta
               @ np.asarray([complex(x) for x in delta])[:, None]).ravel()
         sign = 1.0 if dual else -1.0
         self.dual = dual
-        # the Gamma argument c_i - wc of every entry of the pass's table;
-        # terms that land on a Gamma pole are snapped to 0
-        E = np.repeat(1.0 + u0 if dual else 1.0 - u0, sizes) - wc
-        pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
-            & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-        self.log_gamma = _special().loggamma(np.where(pole, 1.0, E))
-        self.pole = pole if pole.any() else None
+        self.c = 1.0 + u0 if dual else 1.0 - u0
         self.exponent = tuple(sign * u0)
         self.log_prefactor = sign * complex(u0 @ logz_sigma)
 
@@ -203,19 +209,24 @@ class _Job:
 
 class _Part:
     """The jobs of one simplex in a `_sum_series` pass, with what its blocks
-    share: the log-monomial exponents, the table offsets and the dual
-    phases.  Raises the simplex's own errors: a table above _TABLE_MAX, then
-    a delta that is not very generic, checked once per distinct delta in the
-    order of `jobs`."""
+    share: the log-monomial exponents, the table layout, built from the
+    simplex's row bounds, and the Gamma arguments of every job at every
+    table entry (args, one row per job).  The pass sets log_gamma and pole,
+    the log-Gamma values and pole flags of args.  Raises the simplex's own
+    errors: a table above _TABLE_MAX, counted over the whole ranges in
+    Python ints, then a delta that is not very generic, checked once per
+    distinct delta in the order of `jobs`."""
 
-    def __init__(self, cfg, simplex, logz, M, jobs):
-        sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
-        # as w >= 0 and |w| <= M, K_i lies in [lo_i, lo_i + sizes_i)
-        lo = M * simplex.C_int.min(axis=1, initial=0)
-        sizes = M * simplex.C_int.max(axis=1, initial=0) - lo + 1
-        if sizes.sum() > _TABLE_MAX:
+    def __init__(self, cfg, simplex, logz, M, jobs, kvec):
+        sigma, sigma_bar, r = simplex.indices, simplex.bar, simplex.r
+        # as w >= 0 and |w| <= M, K_i lies in [lo_i, hi_i]; Python ints, so
+        # the bound holds exactly at any M
+        lo = [M * x for x in simplex.row_min]
+        hi = [M * x for x in simplex.row_max]
+        size = sum(hi) - sum(lo) + len(lo)
+        if size > _TABLE_MAX:
             raise BadDimensions(f"order {M} at sigma={sigma} needs a "
-                                f"log-Gamma table of {sizes.sum()} > "
+                                f"log-Gamma table of {size} > "
                                 f"{_TABLE_MAX} entries")
         checked = set()
         for delta, _ in jobs:
@@ -225,35 +236,54 @@ class _Part:
                 raise NonGenericParameter(
                     f"delta={delta} hits an integer entry for sigma={sigma}")
             checked.add(tuple(delta))
-        sizes = sizes.astype(np.int64)
-        self.offset = np.cumsum(sizes) - sizes - lo.astype(np.int64)
-        wc = (np.arange(sizes.sum()) - np.repeat(self.offset, sizes)) \
-            / simplex.r     # at = K + offset
+        # on coset k, K_i = t_i (mod r), t = C_int k; row i of the table
+        # holds K_i = first_i + r j at entry base_i + j
+        first = lo if r == 1 else [
+            x + (t - x) % r for x, t in zip(lo, _residues(simplex, kvec))]
+        K = [np.arange(x, y + 1, r, dtype=np.int64)
+             for x, y in zip(first, hi)]
+        sizes = [len(k) for k in K]
+        base = list(accumulate(sizes, initial=0))
+        self.r = r
+        # at = K + offset for r = 1, (K - first) / r + offset otherwise
+        if r == 1:
+            self.offset = np.array([b - x for b, x in zip(base, lo)])[:, None]
+        else:
+            self.offset = np.array(base[:-1])[:, None]
+            self.first = np.array(first, dtype=float)[:, None]
         logz_sigma = np.array([logz[j - 1] for j in sigma])
         self.logx = np.array([logz[j - 1] for j in sigma_bar]) \
-            - (C.T @ logz_sigma[:, None]).ravel()
-        self.jobs = [_Job(simplex, logz_sigma, delta, dual, sizes, wc)
+            - (simplex.C_float.T @ logz_sigma[:, None]).ravel()
+        self.jobs = [_Job(simplex, logz_sigma, delta, dual)
                      for delta, dual in jobs]
+        # c_i - K_i / r at every table entry; the pass takes their log-Gamma
+        self.args = np.repeat([job.c for job in self.jobs], sizes, axis=1) \
+            - np.concatenate(K) / r
+        self.log_gamma = self.pole = None
         # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
         self.bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-        self.srow = C[simplex.pos0, :].sum(axis=0)
-        self.C_int = simplex.C_int.astype(float)   # |K| < _TABLE_MAX: exact
+        self.srow = simplex.srow
+        self.C_int = simplex.C_int_float   # |K| < _TABLE_MAX: exact
         self.sigma = sigma
 
     def fill(self, T, Wf, log_factorials):
         """Writes the terms of job j at the rows Wf into T[j]."""
         logmono = Wf @ self.logx - log_factorials
-        # each term's table entry, per column: at[i] = K_i + offset_i
-        at = (self.C_int @ Wf.T).astype(np.intp) + self.offset[:, None]
-        for job, t in zip(self.jobs, T):
-            logt = logmono - _rowsum([job.log_gamma[a] for a in at])
+        # each term's table entry, per column
+        K = self.C_int @ Wf.T
+        if self.r > 1:
+            K = (K - self.first) / self.r     # exact: K_i - first_i = r j
+        at = K.astype(np.intp) + self.offset
+        for job, log_gamma, t in zip(self.jobs, self.log_gamma, T):
+            logt = logmono - _rowsum([log_gamma[a] for a in at])
             if job.dual:
                 logt += 1j * math.pi * (Wf[:, self.bar0].sum(axis=1)
                                         if self.bar0 else 0.0)
                 logt += 1j * math.pi * (Wf @ self.srow)
             np.exp(logt, out=t)
-            if job.pole is not None:
-                t[job.pole[at].any(axis=0)] = 0.0
+        if self.pole is not None:
+            for pole, t in zip(self.pole, T):
+                t[pole[at].any(axis=0)] = 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")   # checked: value is finite
@@ -268,17 +298,20 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     own pass would raise, so that a caller can raise each in its turn.
 
     The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
-    in exact integers.  Each series takes one complex log-Gamma per integer
-    of the range of each K_i, once per pass; a block of whole shells reads
-    them at the entries of C_int @ W^T, a float product that is exact as
-    every partial sum is an integer below _TABLE_MAX, and sums each term's
-    d entries column by column in numpy's order (_rowsum).  The rows, their
-    float view and the log-factorial sums come from the (q, M) shell cache.
-    Per block, each simplex takes its log-monomials and dual phases, each
-    series its terms, exponentiated into its row of one (series x rows)
-    array; the shell maxima, the shell sums and their compensated
-    accumulation are then taken for all rows of that array at once.  Each
-    row comes out bit for bit as a pass of its series alone.
+    in exact integers.  Each series tables c_i - K_i / r at every r-th
+    integer of the range of K_i, those congruent to (C_int k)_i mod r; the
+    pole test and the complex log-Gamma of the tables of all series are one
+    call each, elementwise, so each series reads the values its own call
+    would give.  A block of whole shells reads them at the entries
+    (K_i - first_i) / r of K = C_int @ W^T, a float product that is exact
+    as every partial sum is an integer below _TABLE_MAX, and sums each
+    term's d entries column by column in numpy's order (_rowsum).  The
+    rows, their float view and the log-factorial sums come from the (q, M)
+    shell cache.  Per block, each simplex takes its log-monomials and dual
+    phases, each series its terms, exponentiated into its row of one
+    (series x rows) array; the shell maxima, the shell sums and their
+    compensated accumulation are then taken for all rows of that array at
+    once.  Each row comes out bit for bit as a pass of its series alone.
     """
     if isinstance(simplices, Simplex):
         out, = _sum_series(cfg, [simplices], kvec, z, M, jobs)
@@ -308,12 +341,26 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     outs, parts = [], []
     for s in simplices:
         try:
-            parts.append(_Part(cfg, s, logz, M, jobs))
+            parts.append(_Part(cfg, s, logz, M, jobs, kvec))
             outs.append(parts[-1])
         except _SERIES_ERRORS as exc:
             outs.append(exc)
     if not parts:
         return outs
+    # one pole test and one log-Gamma call for the tables of every series;
+    # both are elementwise, so each series reads the values of its own call.
+    # Terms that land on a Gamma pole are snapped to 0.
+    E = np.concatenate([part.args.ravel() for part in parts])
+    pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
+        & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
+    log_gamma = _special().loggamma(np.where(pole, 1.0, E))
+    a = 0
+    for part in parts:
+        b = a + part.args.size
+        part.log_gamma = log_gamma[a:b].reshape(part.args.shape)
+        if pole[a:b].any():
+            part.pole = pole[a:b].reshape(part.args.shape)
+        a = b
 
     _, bounds, rows_f, log_factorials = _coset_shells(simplices[0], kvec, M)
     rows = len(parts) * len(jobs)

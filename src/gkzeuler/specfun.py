@@ -10,7 +10,6 @@ rational identities) never load scipy.
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
 
@@ -74,12 +73,6 @@ def _rising(a, m, one):
             raise UndefinedRatio(f"falling product hits zero at alpha={a}, beta={m}")
         out *= f
     return 1 / out
-
-
-def pochhammer_exact(alpha, m):
-    """Exact rational rising product (alpha)_m for Fraction alpha and
-    integer m (m may be negative)."""
-    return _rising(Fraction(alpha), m, Fraction(1))
 
 
 def sin_pi_product(v):

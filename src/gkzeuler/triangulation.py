@@ -13,14 +13,15 @@ on its entries allows and in Python ints otherwise.
 A Simplex holds exact integers only: det A_sigma, its adjugate
 adj = det A_sigma^{-1} from one fraction-free elimination, and
 C_int = r A_sigma^{-1} A_sigma-bar; its float views are correctly rounded
-quotients of them by r = |det|.  What depends on the configuration alone is
-computed once per configuration and kept in a table: every nonsingular
-d-subset as a Simplex, and the normalized volume; whether the configuration
-is homogeneous is read off the first simplex's C_int.  A lifting is then
-tested against the table with integer products only.  A secondary-fan scan
-validates each distinct index set once, and a triangulation given by
-explicit index sets is built and validated once per (configuration, index
-sets, seed).
+quotients of them by r = |det|, and the views a series pass reads are exact
+functions of them, each computed on first use.  What depends on the
+configuration alone is computed once per configuration and kept in a table:
+every nonsingular d-subset as a Simplex, and the normalized volume; whether
+the configuration is homogeneous is read off the first simplex's C_int.  A
+lifting is then tested against the table with integer products only.  A
+secondary-fan scan validates each distinct index set once, and a
+triangulation given by explicit index sets is built and validated once per
+(configuration, index sets, seed).
 """
 
 import math
@@ -41,6 +42,13 @@ _LAMBDA_MAX = 420_000    # the largest entry of a random ray lambda
 
 @dataclass(frozen=True)
 class Simplex:
+    """A d-subset sigma of the columns with det A_sigma != 0, held in exact
+    integers.  Its numeric views are lazy and kept once computed: inv_float
+    and C_float, the correctly rounded quotients by r; pos0; and what every
+    series pass reads, C_int_float, row_min, row_max, srow and
+    genericity_lattice.  Commands that sum no series (triangulate, fan-scan)
+    never build the series views."""
+
     indices: tuple          # sorted 1-based column indices, length d
     det: int                # det A_sigma
     adj: tuple              # adj A_sigma = det * A_sigma^{-1}, tuples of ints
@@ -73,6 +81,34 @@ class Simplex:
     def pos0(self):
         """Positions of sigma^(0) inside sigma."""
         return [p for p, j in enumerate(self.indices) if j in self.blocks[0]]
+
+    @cached_property
+    def C_int_float(self):
+        """C_int as a float array; exact while every entry is below 2^53,
+        which a series table within its bound guarantees."""
+        return self.C_int.astype(float)
+
+    @cached_property
+    def row_min(self):
+        """min(0, row minimum) of each row of C_int, as Python ints."""
+        return tuple(self.C_int.min(axis=1, initial=0).tolist())
+
+    @cached_property
+    def row_max(self):
+        """max(0, row maximum) of each row of C_int, as Python ints."""
+        return tuple(self.C_int.max(axis=1, initial=0).tolist())
+
+    @cached_property
+    def srow(self):
+        """sum_{i in sigma^(0)} e_i^T C, the row sum of C_float over pos0."""
+        return self.C_float[self.pos0, :].sum(axis=0)
+
+    @cached_property
+    def genericity_lattice(self):
+        """C m for the m >= 0 with |m| <= 2, one row per m in graded-lex
+        order: the shifts config.is_very_generic adds to A_sigma^{-1} delta."""
+        W, _ = intlinalg.graded_lex_shells(len(self.bar), 2)
+        return W.astype(float) @ self.C_float.T
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Independent reference implementations that only the tests use: the
 classical quadratic relations of the Gauss and Kummer series by direct
-truncated summation, a cofactor-expansion determinant, the Pochhammer
-reflection identity, the lifting criterion in Fraction arithmetic, the
-secondary-fan scan with one validation per lifting, the random-ray test one
-ray and one simplex at a time, a recursive graded-lex enumerator, the
-Gamma-series summed one shell at a time and the Gamma-series summed term by
-term in mpmath with exact Gamma arguments."""
+truncated summation, the exact rational rising product, a cofactor-expansion
+determinant, the Pochhammer reflection identity, the lifting criterion in
+Fraction arithmetic, the secondary-fan scan with one validation per lifting,
+the random-ray test one ray and one simplex at a time, a recursive graded-lex
+enumerator, the Gamma-series summed one shell at a time and the Gamma-series
+summed term by term in mpmath with exact Gamma arguments."""
 
 import cmath
 import math
@@ -62,6 +62,13 @@ def kummer_relation_residual(alpha, gamma, w, M=60):
            * _hyp1f1(gamma - alpha - 1, gamma, -w, M))
     rhs = gamma - 1
     return abs(lhs - rhs) / max(abs(rhs), 1.0)
+
+
+def pochhammer_exact(alpha, m):
+    """Exact rational rising product (alpha)_m for Fraction alpha and
+    integer m (m may be negative), by the product specfun.pochhammer takes
+    for an integer shift."""
+    return specfun._rising(Fraction(alpha), m, Fraction(1))
 
 
 def det_cofactor(M):
@@ -189,7 +196,7 @@ def split_shells(W, bounds):
 def series_by_shell(cfg, simplex, kvec, z, delta, M, dual):
     """The truncated Gamma-series (or its dual) of a simplex, evaluated one
     shell of graded degree at a time, with log-Gamma taken on every entry of
-    the Gamma arguments E.  Returns (value, shell_maxes, terms_summed,
+    the Gamma arguments E = c - K / r, K = C_int w in integers.  Returns (value, shell_maxes, terms_summed,
     series_abs) as gkzeuler.series computes them; inputs are not checked."""
     sigma, sigma_bar, C = simplex.indices, simplex.bar, simplex.C_float
     q = len(sigma_bar)
@@ -222,10 +229,11 @@ def series_by_shell(cfg, simplex, kvec, z, delta, M, dual):
             shell_maxes.append(0.0)
             continue
         Wf = W.astype(float)
+        K = W @ simplex.C_int.astype(np.int64).T
         if dual:
-            E = 1.0 + u0[None, :] - Wf @ C.T
+            E = 1.0 + u0[None, :] - K / simplex.r
         else:
-            E = 1.0 - u0[None, :] - Wf @ C.T
+            E = 1.0 - u0[None, :] - K / simplex.r
         logt = Wf @ logx - gammaln(Wf + 1.0).sum(axis=1)
         logt = logt.astype(complex)
         near = np.abs(E.real - np.rint(E.real)) <= 1e-12

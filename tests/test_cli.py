@@ -168,9 +168,11 @@ def test_series_bad_sigma(capsys, sigma):
     # 10^6 simplex needs 8 * 10^6 + 2 entries at order 8
     "series --config {huge} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
     "--order 8",
-    # so does a pass at an order beyond any machine integer
+    # so does a pass at an order beyond any machine integer, also in the
+    # stacked pass of a relation
     "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613 "
     "--z 1,1,1,0.05 --order 100000000000000000000",
+    "verify --case phi1 --order 100000000000000000000",
     # a directory as the config, and an --out file that cannot be written
     "fan-scan --config {tmp}",
     "ladders --k 1 --n 3 --out {tmp}/missing/x.json",
@@ -293,6 +295,22 @@ def test_series_kvec_beyond_int64_names_its_coset(capsys):
     code, huge = _run(capsys, base + ["--kvec", "100000000000000000001,0"])
     assert code == cli.EXIT_OK
     assert huge == _run(capsys, base + ["--kvec", "1,0"])[1]
+
+
+def test_series_at_a_volume_beyond_int64(capsys, tmp_path):
+    # r = 2^70: the coset table of each column steps by r from the first
+    # K = (C_int k)_i mod r of its range; only w = 0 lies in Lambda_0 at
+    # order 0, and no term in Lambda_1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 1, "n": 1,
+                                "blocks": [[], [[0, 2 ** 70, 1]]]}))
+    base = ["series", "--config", str(path), "--sigma", "1,2",
+            "--delta", "0.3,5.3e20", "--z", "1,1,0.5", "--order", "0"]
+    terms = []
+    for kvec in ("0", "1"):
+        cli.main(base + ["--kvec", kvec])
+        terms.append(json.loads(capsys.readouterr().out)["terms_summed"])
+    assert terms == [1, 0]
 
 
 def test_series_kvec_of_right_length(capsys):

@@ -12,7 +12,8 @@ import pytest
 from oracles import (graded_lex_recursive, series_by_direct_sum,
                      series_by_shell, split_shells)
 
-from gkzeuler import config, intersection, intlinalg, series, triangulation
+from gkzeuler import (cli, config, intersection, intlinalg, series,
+                      triangulation)
 from gkzeuler.errors import (BadDimensions, DivergentTail,
                              NonGenericParameter, ScaleTooSmall)
 
@@ -118,6 +119,46 @@ def test_series_at_volume_three_matches_exact_arguments(dual):
             got = fn(cfg, s, kvec, z, delta, 30)
             want = series_by_direct_sum(cfg, s, kvec, z, delta, 30, dual)
             assert abs(got.value - want) <= 1e-12 * abs(want), (delta, kvec)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_series_at_volume_three_is_bit_for_bit_the_shell_reference(dual):
+    # on coset k the table holds only the K_i = (C_int k)_i mod 3 of each
+    # column's range, read at (K_i - first_i) / 3; every field must still
+    # equal the shell-by-shell sum over the exact arguments c - K / 3
+    cfg, s = _volume_three_simplex()
+    z = (1.0, 1.0, 0.5)
+    fn = series.dual_gamma_series if dual else series.gamma_series
+
+    def bits(x):
+        return np.asarray(x, dtype=complex).tobytes()
+
+    for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
+        for kvec in intlinalg.coset_representatives(s.C_int, s.r):
+            for M in (0, 1, 5, 30):
+                got = fn(cfg, s, kvec, z, delta, M)
+                value, shell_maxes, terms, series_abs = series_by_shell(
+                    cfg, s, kvec, z, delta, M, dual)
+                where = (delta, kvec, M)
+                assert bits(got.value) == bits(value), where
+                assert bits(got.shell_maxes) == bits(shell_maxes), where
+                assert got.terms_summed == terms, where
+                assert bits(got.series_abs) == bits(series_abs), where
+
+
+def test_coset_table_holds_one_entry_in_r():
+    # K_i = 2 w ranges over [0, 2M] and K_2 = w over [0, M]; on coset k
+    # only K = k mod 3 (column 1: 2k mod 3) is tabled
+    cfg, s = _volume_three_simplex()
+    assert s.C_int.tolist() == [[2], [1]]
+    logz = np.log([1.0, 1.0, 0.5 + 0j])
+    M = 30
+    for k in range(3):
+        part = series._Part(cfg, s, logz, M, [((0.313, 0.577), False)], (k,))
+        want = sum(len(range(t % 3, hi + 1, 3))
+                   for t, hi in ((2 * k, 2 * M), (k, M)))
+        assert part.args.shape == (1, want)
+        assert want <= (3 * M + 2) // 3 + 2
 
 
 def test_registry_gamma_grid_is_exact_in_floats():
@@ -365,6 +406,56 @@ def test_series_pass_through_gamma_poles_matches_single_series():
              for v in got]
     assert alive == [[3, 7], [3, 7, 11, 15, 19, 23]]
     assert got[0].terms_summed == got[1].terms_summed == 6
+
+
+def test_stacked_pass_takes_one_log_gamma_call(monkeypatch):
+    # the Gamma arguments of every series of every simplex go to scipy in
+    # one loggamma call (and one pole test) per pass
+    calls = []
+    special = series._special()
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        def loggamma(self, x):
+            calls.append(x.shape)
+            return special.loggamma(x)
+
+    monkeypatch.setattr(series, "_special", Counting)
+    for name in ("phi1", "e36"):
+        data = intersection.CASES[name](np.random.default_rng(0))
+        cfg, tri = data["cfg"], data["tri"]
+        dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                    data["twist"])
+        calls.clear()
+        got = series.gamma_series_pairs(cfg, tri.simplices, data["z"], dplus,
+                                        dminus, data["order"])
+        assert all(not isinstance(pair, Exception) for pair in got)
+        assert len(calls) == 1, name
+
+
+def test_verify_after_other_orders_equals_a_cold_run(monkeypatch, capsys):
+    # the per-simplex views and the shell cache outlive a request; e36 at
+    # orders 8, 24 and 8 in one process must print what each order prints
+    # with every cache cleared first
+    def run(order):
+        assert cli.main(["verify", "--case", "e36", "--seed", "3",
+                         "--order", str(order)]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    def clear():
+        monkeypatch.setattr(triangulation, "_tables", {})
+        triangulation._from_simplices.cache_clear()
+        series._shells.cache_clear()
+
+    cold = {}
+    for order in (8, 24):
+        clear()
+        cold[order] = run(order)
+    clear()
+    assert [run(order) for order in (8, 24, 8)] \
+        == [cold[8], cold[24], cold[8]]
 
 
 def test_series_pair_checks_genericity_once_per_distinct_delta(monkeypatch):

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pochhammer_reflection_check
+from oracles import pochhammer_exact, pochhammer_reflection_check
 
 from gkzeuler import specfun
 from gkzeuler.errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
@@ -86,12 +86,12 @@ def test_pochhammer_noninteger_shift_raises_on_poles():
 
 
 def test_pochhammer_exact_is_rational():
-    assert specfun.pochhammer_exact(Fraction(1, 3), 3) == \
+    assert pochhammer_exact(Fraction(1, 3), 3) == \
         Fraction(1, 3) * Fraction(4, 3) * Fraction(7, 3)
-    assert specfun.pochhammer_exact(Fraction(5, 2), -2) == \
+    assert pochhammer_exact(Fraction(5, 2), -2) == \
         1 / (Fraction(3, 2) * Fraction(1, 2))
     with pytest.raises(UndefinedRatio):
-        specfun.pochhammer_exact(Fraction(2), -3)
+        pochhammer_exact(Fraction(2), -3)
 
 
 @given(st.lists(st.floats(min_value=-4.0, max_value=4.0,

@@ -522,3 +522,44 @@ def test_table_simplex_views_are_exact_bit_for_bit(name):
             == _bits(np.array([[float(x) for x in row] for row in inv]))
         assert _bits(s.C_float) \
             == _bits(np.array([[float(x) for x in row] for row in C]))
+
+
+_SERIES_VIEWS = ("C_int_float", "row_min", "row_max", "srow",
+                 "genericity_lattice")
+
+
+@pytest.mark.parametrize("name", config.registry_names())
+def test_series_views_equal_their_definitions(name):
+    # the views a series pass reads, against the expressions the pass and
+    # the genericity scan computed before they were kept on the simplex,
+    # signed zeros included; the row bounds are Python ints
+    cfg = config.get_config(name)
+    simplices = list(triangulation._table(cfg).simplices)
+    simplices.append(triangulation.make_simplex(
+        config.build_cayley(1, 1, [[], [[0, 3, 1]]]), (1, 2)))
+    for s in simplices:
+        C = s.C_int
+        assert _bits(s.C_int_float) == _bits(C.astype(float))
+        assert s.row_min == tuple(min([0, *row]) for row in C.tolist())
+        assert s.row_max == tuple(max([0, *row]) for row in C.tolist())
+        assert all(type(x) is int for x in s.row_min + s.row_max)
+        assert _bits(s.srow) == _bits(s.C_float[s.pos0, :].sum(axis=0))
+        W, _ = intlinalg.graded_lex_shells(len(s.bar), 2)
+        assert _bits(s.genericity_lattice) \
+            == _bits(W.astype(float) @ s.C_float.T)
+
+
+def test_fan_scan_and_triangulate_leave_the_series_views_uncomputed(
+        monkeypatch, capsys):
+    # the views are lazy: commands that never sum a series never build them
+    monkeypatch.setattr(triangulation, "_tables", {})
+    for argv in (["fan-scan", "--config", "g1", "--samples", "20"],
+                 ["fan-scan", "--config", "e36", "--samples", "3"],
+                 ["triangulate", "--config", "gauss", "--omega", "7,1,2,5"]):
+        assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    tables = list(triangulation._tables.values())
+    assert len(tables) == 3
+    for table in tables:
+        for s in table.simplices:
+            assert not set(_SERIES_VIEWS) & set(vars(s)), s.indices
