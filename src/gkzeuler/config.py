@@ -9,8 +9,8 @@ polynomial factor.
 
 Very-genericity of a parameter vector is only checkable up to a finite scan
 bound (the defining condition quantifies over all of Z_{>=0}^{sigma-bar});
-we scan graded degrees up to 2, which catches accidental integrality for the
-random parameters used in verification.
+we scan graded degrees up to GENERICITY_DEGREE = 2, which catches accidental
+integrality for the random parameters used in verification.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import BadDimensions, LatticeNotFull
 from . import intlinalg
+
+GENERICITY_DEGREE = 2   # the very-genericity scan covers |m| <= this
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,18 @@ def confluent_config(k, n):
                   name=f"confluent({k},{n})", pairs=tuple(pairs))
 
 
+def genericity_lattice(simplex):
+    """A_sigma^{-1} A_{sigma-bar} m for the m >= 0 with
+    |m| <= GENERICITY_DEGREE, one row per m in graded-lex order: the shifts
+    is_very_generic adds to A_sigma^{-1} delta.  A Simplex keeps it as its
+    genericity_lattice."""
+    W, _ = intlinalg.graded_lex_shells(len(simplex.bar), GENERICITY_DEGREE)
+    return W.astype(float) @ simplex.C_float.T
+
+
 def is_very_generic(simplex, delta):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
-    within 1e-9 of an integer for all m >= 0 with |m| <= 2."""
+    within 1e-9 of an integer for all m >= 0 with |m| <= GENERICITY_DEGREE."""
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
     ent = u0[None, :] + simplex.genericity_lattice
     return not ((np.abs(ent.real - ent.real.round()) < 1e-9)

@@ -119,8 +119,9 @@ _shells = _ShellCache(_SHELL_BYTES)
 
 def _residues(simplex, kvec):
     """C_int k mod r, Python ints; k = 0 when kvec is None."""
-    k = kvec if kvec is not None else [0] * len(simplex.bar)
-    return simplex.C_int @ np.array(k, dtype=object) % simplex.r
+    if kvec is None:
+        return np.zeros(len(simplex.indices), dtype=object)
+    return simplex.C_int @ np.array(kvec, dtype=object) % simplex.r
 
 
 def _coset_shells(simplex, kvec, M):
@@ -209,13 +210,13 @@ class _Job:
 
 class _Part:
     """The jobs of one simplex in a `_sum_series` pass, with what its blocks
-    share: the log-monomial exponents, the table layout, built from the
-    simplex's row bounds, and the Gamma arguments of every job at every
-    table entry (args, one row per job).  The pass sets log_gamma and pole,
-    the log-Gamma values and pole flags of args.  Raises the simplex's own
-    errors: a table above _TABLE_MAX, counted over the whole ranges in
-    Python ints, then a delta that is not very generic, checked once per
-    distinct delta in the order of `jobs`."""
+    share: the log-monomial exponents and the table layout, built from the
+    simplex's row bounds.  The pass fills the tables (gamma_args) and sets
+    log_gamma, their log-Gamma values, one row per job, and pole, their pole
+    flags when any entry is a pole.  Raises the simplex's own errors: a
+    table above _TABLE_MAX, counted over the whole ranges in Python ints,
+    then a delta that is not very generic, checked once per distinct delta
+    in the order of `jobs`."""
 
     def __init__(self, cfg, simplex, logz, M, jobs, kvec):
         sigma, sigma_bar, r = simplex.indices, simplex.bar, simplex.r
@@ -238,27 +239,21 @@ class _Part:
             checked.add(tuple(delta))
         # on coset k, K_i = t_i (mod r), t = C_int k; row i of the table
         # holds K_i = first_i + r j at entry base_i + j
-        first = lo if r == 1 else [
-            x + (t - x) % r for x, t in zip(lo, _residues(simplex, kvec))]
-        K = [np.arange(x, y + 1, r, dtype=np.int64)
-             for x, y in zip(first, hi)]
-        sizes = [len(k) for k in K]
-        base = list(accumulate(sizes, initial=0))
+        first = [x + (t - x) % r
+                 for x, t in zip(lo, _residues(simplex, kvec))]
+        self.K = [range(x, y + 1, r) for x, y in zip(first, hi)]
+        self.sizes = [len(k) for k in self.K]
         self.r = r
-        # at = K + offset for r = 1, (K - first) / r + offset otherwise
-        if r == 1:
-            self.offset = np.array([b - x for b, x in zip(base, lo)])[:, None]
-        else:
-            self.offset = np.array(base[:-1])[:, None]
-            self.first = np.array(first, dtype=float)[:, None]
+        self.first = np.array(first, dtype=float)[:, None]
+        base = list(accumulate(self.sizes, initial=0))
+        self.offset = np.array(base[:-1])[:, None]
+        # as (K_i - first_i) / r + base_i = K_i + shift_i when r = 1
+        self.shift = np.array([b - x for b, x in zip(base, first)])[:, None]
         logz_sigma = np.array([logz[j - 1] for j in sigma])
         self.logx = np.array([logz[j - 1] for j in sigma_bar]) \
             - (simplex.C_float.T @ logz_sigma[:, None]).ravel()
         self.jobs = [_Job(simplex, logz_sigma, delta, dual)
                      for delta, dual in jobs]
-        # c_i - K_i / r at every table entry; the pass takes their log-Gamma
-        self.args = np.repeat([job.c for job in self.jobs], sizes, axis=1) \
-            - np.concatenate(K) / r
         self.log_gamma = self.pole = None
         # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
         self.bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
@@ -266,14 +261,23 @@ class _Part:
         self.C_int = simplex.C_int_float   # |K| < _TABLE_MAX: exact
         self.sigma = sigma
 
+    def gamma_args(self, out):
+        """Writes c_i - K_i / r of each job at every table entry into its
+        row of `out`, a (jobs x table entries) array."""
+        K = np.concatenate([np.arange(k.start, k.stop, k.step, dtype=np.int64)
+                            for k in self.K]) / self.r
+        for job, row in zip(self.jobs, out):
+            np.subtract(np.repeat(job.c, self.sizes), K, out=row)
+
     def fill(self, T, Wf, log_factorials):
         """Writes the terms of job j at the rows Wf into T[j]."""
         logmono = Wf @ self.logx - log_factorials
-        # each term's table entry, per column
-        K = self.C_int @ Wf.T
-        if self.r > 1:
-            K = (K - self.first) / self.r     # exact: K_i - first_i = r j
-        at = K.astype(np.intp) + self.offset
+        # each term's table entry, per column, from K = C_int @ Wf^T
+        if self.r > 1:      # exact: K_i - first_i = r j
+            at = ((self.C_int @ Wf.T - self.first) / self.r).astype(np.intp) \
+                + self.offset
+        else:   # the same entries without two passes over K: 1-6% faster
+            at = (self.C_int @ Wf.T).astype(np.intp) + self.shift
         for job, log_gamma, t in zip(self.jobs, self.log_gamma, T):
             logt = logmono - _rowsum([log_gamma[a] for a in at])
             if job.dual:
@@ -349,18 +353,32 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
         return outs
     # one pole test and one log-Gamma call for the tables of every series;
     # both are elementwise, so each series reads the values of its own call.
-    # Terms that land on a Gamma pole are snapped to 0.
-    E = np.concatenate([part.args.ravel() for part in parts])
-    pole = (np.abs(E.real - np.rint(E.real)) <= _POLE_TOL) \
-        & (np.abs(E.imag) <= _POLE_TOL) & (np.rint(E.real) <= 0)
-    log_gamma = _special().loggamma(np.where(pole, 1.0, E))
+    # The call runs in place on the arguments, whose array each part's
+    # log_gamma then views.  Terms that land on a Gamma pole are snapped to 0.
+    shapes = [(len(part.jobs), sum(part.sizes)) for part in parts]
+    log_gamma = np.empty(sum(m * n for m, n in shapes), dtype=complex)
+    views, a = [], 0
+    for part, (m, n) in zip(parts, shapes):
+        views.append(log_gamma[a:a + m * n].reshape(m, n))
+        part.gamma_args(views[-1])
+        a += m * n
+    # the pole test, with one float array of scratch: |rint(x) - x| is
+    # |x - rint(x)| bit for bit
+    near = np.rint(log_gamma.real)
+    pole = near <= 0
+    near -= log_gamma.real
+    pole &= np.abs(near, out=near) <= _POLE_TOL
+    pole &= np.abs(log_gamma.imag, out=near) <= _POLE_TOL
+    del near
+    log_gamma[pole] = 1.0
+    _special().loggamma(log_gamma, out=log_gamma)
     a = 0
-    for part in parts:
-        b = a + part.args.size
-        part.log_gamma = log_gamma[a:b].reshape(part.args.shape)
-        if pole[a:b].any():
-            part.pole = pole[a:b].reshape(part.args.shape)
-        a = b
+    for part, view in zip(parts, views):
+        part.log_gamma = view
+        if pole[a:a + view.size].any():
+            part.pole = pole[a:a + view.size].reshape(view.shape).copy()
+        a += view.size
+    del pole, views
 
     _, bounds, rows_f, log_factorials = _coset_shells(simplices[0], kvec, M)
     rows = len(parts) * len(jobs)

@@ -32,6 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import genericity_lattice
 from .errors import (BadDimensions, DegenerateLifting, ExhaustedRetries,
                      NotATriangulation, SingularMatrix)
 from . import intlinalg
@@ -105,10 +106,8 @@ class Simplex:
 
     @cached_property
     def genericity_lattice(self):
-        """C m for the m >= 0 with |m| <= 2, one row per m in graded-lex
-        order: the shifts config.is_very_generic adds to A_sigma^{-1} delta."""
-        W, _ = intlinalg.graded_lex_shells(len(self.bar), 2)
-        return W.astype(float) @ self.C_float.T
+        """config.genericity_lattice of this simplex."""
+        return genericity_lattice(self)
 
 
 @dataclass(frozen=True)

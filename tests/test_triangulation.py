@@ -544,7 +544,8 @@ def test_series_views_equal_their_definitions(name):
         assert s.row_max == tuple(max([0, *row]) for row in C.tolist())
         assert all(type(x) is int for x in s.row_min + s.row_max)
         assert _bits(s.srow) == _bits(s.C_float[s.pos0, :].sum(axis=0))
-        W, _ = intlinalg.graded_lex_shells(len(s.bar), 2)
+        W, _ = intlinalg.graded_lex_shells(len(s.bar),
+                                           config.GENERICITY_DEGREE)
         assert _bits(s.genericity_lattice) \
             == _bits(W.astype(float) @ s.C_float.T)
 
