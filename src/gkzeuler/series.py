@@ -353,15 +353,16 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
         return outs
     # one pole test and one log-Gamma call for the tables of every series;
     # both are elementwise, so each series reads the values of its own call.
-    # The call runs in place on the arguments, whose array each part's
-    # log_gamma then views.  Terms that land on a Gamma pole are snapped to 0.
-    shapes = [(len(part.jobs), sum(part.sizes)) for part in parts]
-    log_gamma = np.empty(sum(m * n for m, n in shapes), dtype=complex)
-    views, a = [], 0
-    for part, (m, n) in zip(parts, shapes):
-        views.append(log_gamma[a:a + m * n].reshape(m, n))
-        part.gamma_args(views[-1])
-        a += m * n
+    # The call runs in place on the arguments, each part's log_gamma a view
+    # of them.  Terms that land on a Gamma pole are snapped to 0.
+    log_gamma = np.empty(sum(len(part.jobs) * sum(part.sizes)
+                             for part in parts), dtype=complex)
+    a = 0
+    for part in parts:
+        n = len(part.jobs) * sum(part.sizes)
+        part.log_gamma = log_gamma[a:a + n].reshape(len(part.jobs), -1)
+        part.gamma_args(part.log_gamma)
+        a += n
     # the pole test, with one float array of scratch: |rint(x) - x| is
     # |x - rint(x)| bit for bit
     near = np.rint(log_gamma.real)
@@ -373,12 +374,12 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     log_gamma[pole] = 1.0
     _special().loggamma(log_gamma, out=log_gamma)
     a = 0
-    for part, view in zip(parts, views):
-        part.log_gamma = view
-        if pole[a:a + view.size].any():
-            part.pole = pole[a:a + view.size].reshape(view.shape).copy()
-        a += view.size
-    del pole, views
+    for part in parts:
+        n = part.log_gamma.size
+        if pole[a:a + n].any():
+            part.pole = pole[a:a + n].reshape(part.log_gamma.shape).copy()
+        a += n
+    del pole
 
     _, bounds, rows_f, log_factorials = _coset_shells(simplices[0], kvec, M)
     rows = len(parts) * len(jobs)
