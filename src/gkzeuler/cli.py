@@ -38,9 +38,9 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 
 # the exact identities' cost grows steeply with the degree (Fractions of
-# growing size): the largest accepted degree takes about 0.5 s on a 2-core
-# host
-_IDENTITIES_MAX_DEGREE = 50
+# growing size): the largest accepted degree takes about 0.5 s in a fresh
+# process on a 2-core host (degree 76: 0.47 s, 78: 0.51 s)
+_IDENTITIES_MAX_DEGREE = 76
 
 _BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,
               NotConvergent, NotUnimodular, SingularMatrix, KeyError,

@@ -1,30 +1,34 @@
-"""Truncated evaluation of the Gamma-series and dual Gamma-series attached
-to a simplex, convergence-domain point sampling, and the simplex
+"""Truncated evaluation of the Gamma-series and dual Gamma-series attached to
+a simplex, convergence-domain point sampling, and the simplex
 transformation matrices.
 
 The lattice points of a series are one int64 array in graded-lex order and
 its shell bounds.  They depend only on (q, M), q = |sigma-bar| and M the
-order, so a bounded cache (_shells) holds them once per (q, M), read-only,
-with their float view and the row sums of log(w_i!); a coset filter masks
-all three.  Terms are evaluated in log-space over blocks of whole shells,
-and summed shell by shell with compensated accumulation, so results are
-deterministic.  The Gamma arguments of a term w are c - (C_int w) / r, with
-C_int w exact integers, read off a float product that is exact below
-_TABLE_MAX.  Each series tables its arguments at the integers of each
-K_i's range that its coset reaches (K_i = (C_int k)_i mod r, every r-th),
-and a pass takes the complex log-Gamma of the tables of all its series in
-one call; a term sums its entries column by column in the order numpy sums
-a short row (_rowsum).  The series a quadratic relation pairs, phi and
-phi^vee on every simplex of a unimodular triangulation, share one pass over
-the shells: their terms fill the rows of one (series x rows) array per
-block, and the shell maxima and sums are taken over that array, each row
-bit for bit as its series alone.  What a pass reads of a simplex on every
-call (C_int as floats, its row bounds, the dual row sum srow and the
-genericity lattice) are lazy views kept on the Simplex; the table layout,
-which depends on M, is rebuilt by each pass.  All complex powers use the
-principal logarithm.  scipy.special (log-Gamma) is read through
-specfun._special, so it is imported by the first series evaluated, not by
-this module.
+order, so a cache holds them once per (q, M), read-only, with their float
+view and the row sums of log(w_i!); a coset filter masks all three.  Terms
+are evaluated in log-space over blocks of whole shells, and summed shell by
+shell with compensated accumulation, so results are deterministic.  The
+Gamma arguments of a term w are c - (C_int w) / r, with C_int w exact
+integers, read off a float product that is exact below _TABLE_MAX.  Each
+series tables its arguments at the integers of each K_i's range that its
+coset reaches (K_i = (C_int k)_i mod r, every r-th), and a pass takes the
+complex log-Gamma of the tables of all its series in one call; a term sums
+its entries column by column in the order numpy sums a short row (_rowsum).
+The series a quadratic relation pairs, phi and phi^vee on every simplex of
+a unimodular triangulation, share one pass over the shells: their terms
+fill the rows of one (series x rows) array per block, and the shell maxima
+and sums are taken over that array, each row bit for bit as its series
+alone.  What a pass derives from a simplex, the order and the coset alone
+(the table layout and, when the rows fit one block, each row's table
+entries and dual phases) is a _Layout, kept per (simplex with its C_int,
+I_0 positions, M, coset residues); a later pass of that key builds only
+what delta and z change: the genericity checks, the prefactors and Gamma
+constants, the log-monomials, the log-Gamma call and the terms.  The shells
+and the layouts share one cache (_cache), bounded by the bytes of their
+arrays (_CACHE_BYTES) and evicted least recently used first.  All complex
+powers use the principal logarithm.  scipy.special (log-Gamma) is read
+through specfun._special, so it is imported by the first series evaluated,
+not by this module.
 """
 
 import cmath
@@ -43,7 +47,7 @@ from .triangulation import Simplex, make_simplex
 
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
 _TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
-_SHELL_BYTES = 2 ** 25  # bytes of arrays the (q, M) shell cache may hold
+_CACHE_BYTES = 2 ** 25  # bytes of arrays _cache may hold
 # what the pass of one simplex raises on its inputs and results; a stacked
 # pass returns it for that simplex (cmath.exp may overflow the prefactor)
 _SERIES_ERRORS = (GkzError, ArithmeticError, ValueError)
@@ -84,37 +88,55 @@ def _build_shells(q, M):
     return W, tuple(bounds), Wf, log_factorials
 
 
-class _ShellCache:
-    """The shells of each (q, M) (_build_shells), shared by every simplex and
-    pass of that (q, M).  The arrays of the entries held take at most
-    max_bytes in all; the least recently used entries are evicted first, and
-    an entry larger than max_bytes is built and not kept."""
+class _Cache:
+    """What series passes keep across calls: the shells of each (q, M)
+    (_build_shells), keyed (q, M) and shared by every simplex and pass of
+    that (q, M), and the _Layout of each simplex, order and coset
+    (_layout_key).  The arrays of the entries held take at most max_bytes
+    in all; the least recently used entries are evicted first, and an entry
+    larger than max_bytes is not kept."""
 
     def __init__(self, max_bytes):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._entries = {}      # (q, M) -> (shells, bytes), oldest use first
+        self._entries = {}      # key -> (value, bytes), oldest use first
 
-    def __call__(self, q, M):
-        hit = self._entries.pop((q, M), None)
-        if hit is not None:
-            self._entries[q, M] = hit
-            return hit[0]
-        shells = _build_shells(q, M)
-        size = shells[0].nbytes + shells[2].nbytes + shells[3].nbytes
-        if size <= self.max_bytes:
-            self._entries[q, M] = (shells, size)
-            self.nbytes += size
-            while self.nbytes > self.max_bytes:
-                self.nbytes -= self._entries.pop(next(iter(self._entries)))[1]
-        return shells
+    def get(self, key):
+        """The value kept under key, now the most recently used, or None."""
+        hit = self._entries.pop(key, None)
+        if hit is None:
+            return None
+        self._entries[key] = hit
+        return hit[0]
+
+    def put(self, key, value, size):
+        """Keeps value, whose arrays take size bytes, under key."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        if size > self.max_bytes:
+            return
+        self._entries[key] = (value, size)
+        self.nbytes += size
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._entries.pop(next(iter(self._entries)))[1]
 
     def cache_clear(self):
         self._entries.clear()
         self.nbytes = 0
 
 
-_shells = _ShellCache(_SHELL_BYTES)
+_cache = _Cache(_CACHE_BYTES)
+
+
+def _shells(q, M):
+    """_build_shells(q, M), kept in _cache."""
+    shells = _cache.get((q, M))
+    if shells is None:
+        shells = _build_shells(q, M)
+        _cache.put((q, M), shells, shells[0].nbytes + shells[2].nbytes
+                   + shells[3].nbytes)
+    return shells
 
 
 def _residues(simplex, kvec):
@@ -208,27 +230,105 @@ class _Job:
                            exponent=self.exponent, series_abs=abs(total))
 
 
-class _Part:
-    """The jobs of one simplex in a `_sum_series` pass, with what its blocks
-    share: the log-monomial exponents and the table layout, built from the
-    simplex's row bounds.  The pass fills the tables (gamma_args) and sets
-    log_gamma, their log-Gamma values, one row per job, and pole, their pole
-    flags when any entry is a pole.  Raises the simplex's own errors: a
-    table above _TABLE_MAX, counted over the whole ranges in Python ints,
-    then a delta that is not very generic, checked once per distinct delta
-    in the order of `jobs`."""
+class _Layout:
+    """What a pass reads of one simplex that depends only on the simplex,
+    the order M and the coset residues t = C_int k mod r.  A pass builds it
+    on a miss and keeps it in _cache under _layout_key; every later pass of
+    that key reads it.
 
-    def __init__(self, cfg, simplex, logz, M, jobs, kvec):
-        sigma, sigma_bar, r = simplex.indices, simplex.bar, simplex.r
+    Row i of the log-Gamma table holds K_i = first_i + r j at entry
+    offset_i + j, for the sizes[i] integers of K_i's range congruent to
+    t_i mod r; K_r holds every K_i / r in entry order.  When the coset's
+    rows fit one block (keep_rows), `at` holds each row's table entry per
+    column and `phases` the two dual phases of each row; otherwise a pass
+    computes them block by block (entries, dual_phases), as keeping them
+    for the 20,475 rows of e36 at order 24 would hold megabytes.  Built
+    from its key (_layout_key); raises BadDimensions, before it allocates
+    anything, for a table above _TABLE_MAX entries, counted over the whole
+    ranges in Python ints."""
+
+    def __init__(self, key):
+        simplex, _, bar0, M, residues = key
+        r, C = simplex.r, simplex.C_int
         # as w >= 0 and |w| <= M, K_i lies in [lo_i, hi_i]; Python ints, so
         # the bound holds exactly at any M
-        lo = [M * x for x in simplex.row_min]
-        hi = [M * x for x in simplex.row_max]
+        lo = [M * x for x in C.min(axis=1, initial=0).tolist()]
+        hi = [M * x for x in C.max(axis=1, initial=0).tolist()]
         size = sum(hi) - sum(lo) + len(lo)
         if size > _TABLE_MAX:
-            raise BadDimensions(f"order {M} at sigma={sigma} needs a "
-                                f"log-Gamma table of {size} > "
+            raise BadDimensions(f"order {M} at sigma={simplex.indices} needs "
+                                f"a log-Gamma table of {size} > "
                                 f"{_TABLE_MAX} entries")
+        first = [x + (t - x) % r for x, t in zip(lo, residues)]
+        K = [np.arange(x, y + 1, r, dtype=np.int64) for x, y in zip(first, hi)]
+        self.sizes = np.array([len(k) for k in K])
+        base = list(accumulate(self.sizes.tolist(), initial=0))
+        self.K_r = np.concatenate(K) / r
+        self.r = r
+        self.first = np.array(first, dtype=float)[:, None]
+        self.offset = np.array(base[:-1])[:, None]
+        # as (K_i - first_i) / r + base_i = K_i + shift_i when r = 1
+        self.shift = np.array([b - x for b, x in zip(base, first)])[:, None]
+        self.bar0 = list(bar0)
+        # sum_{i in sigma^(0)} e_i^T C, for the dual phases
+        self.srow = simplex.C_float[simplex.pos0, :].sum(axis=0)
+        self.C_int = C.astype(float)    # |K| < _TABLE_MAX: exact
+        self.at = self.phases = None
+
+    def entries(self, Wf):
+        """Each term's table entry per column for the rows Wf, a (d x rows)
+        intp array, from K = C_int @ Wf^T."""
+        if self.r > 1:      # exact: K_i - first_i = r j
+            return ((self.C_int @ Wf.T - self.first) / self.r) \
+                .astype(np.intp) + self.offset
+        # the same entries without two passes over K: 1-6% faster
+        return (self.C_int @ Wf.T).astype(np.intp) + self.shift
+
+    def dual_phases(self, Wf):
+        """The two phases a dual term adds to its log, in this order, for
+        the rows Wf, as a (2 x rows) complex array."""
+        return np.array([1j * math.pi * Wf[:, self.bar0].sum(axis=1),
+                         1j * math.pi * (Wf @ self.srow)])
+
+    def keep_rows(self, Wf):
+        """Sets at and phases for the rows Wf of the coset, one block."""
+        self.at = self.entries(Wf)
+        self.phases = self.dual_phases(Wf)
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in vars(self).values()
+                   if isinstance(a, np.ndarray))
+
+
+def _layout_key(cfg, simplex, M, kvec):
+    """The key of a simplex's _Layout in _cache.  It holds the simplex with
+    its C_int, since Simplex equality ignores C_int and two configurations
+    can have equal simplices with different C_int; the positions of I_0 in
+    sigma-bar; M; and the coset residues.  All exact, so equal keys build
+    equal layouts."""
+    bar0 = tuple(p for p, j in enumerate(simplex.bar) if j in cfg.blocks[0])
+    return (simplex, tuple(simplex.C_int.ravel().tolist()), bar0, M,
+            tuple(_residues(simplex, kvec).tolist()))
+
+
+class _Part:
+    """The jobs of one simplex in a `_sum_series` pass, with its _Layout
+    and the log-monomial exponents its blocks share.  The pass fills the
+    tables (gamma_args) and sets log_gamma, their log-Gamma values, one row
+    per job, and pole, their pole flags when any entry is a pole.  `key` is
+    the layout's _cache key when this pass built it, else None.  Raises the
+    simplex's own errors: those of building its _Layout, then a delta that
+    is not very generic, checked once per distinct delta in the order of
+    `jobs`."""
+
+    def __init__(self, cfg, simplex, logz, M, jobs, kvec):
+        sigma = simplex.indices
+        key = _layout_key(cfg, simplex, M, kvec)
+        self.layout = _cache.get(key)
+        self.key = None
+        if self.layout is None:
+            self.layout, self.key = _Layout(key), key
         checked = set()
         for delta, _ in jobs:
             if tuple(delta) in checked:
@@ -237,53 +337,37 @@ class _Part:
                 raise NonGenericParameter(
                     f"delta={delta} hits an integer entry for sigma={sigma}")
             checked.add(tuple(delta))
-        # on coset k, K_i = t_i (mod r), t = C_int k; row i of the table
-        # holds K_i = first_i + r j at entry base_i + j
-        first = [x + (t - x) % r
-                 for x, t in zip(lo, _residues(simplex, kvec))]
-        self.K = [range(x, y + 1, r) for x, y in zip(first, hi)]
-        self.sizes = [len(k) for k in self.K]
-        self.r = r
-        self.first = np.array(first, dtype=float)[:, None]
-        base = list(accumulate(self.sizes, initial=0))
-        self.offset = np.array(base[:-1])[:, None]
-        # as (K_i - first_i) / r + base_i = K_i + shift_i when r = 1
-        self.shift = np.array([b - x for b, x in zip(base, first)])[:, None]
         logz_sigma = np.array([logz[j - 1] for j in sigma])
-        self.logx = np.array([logz[j - 1] for j in sigma_bar]) \
+        self.logx = np.array([logz[j - 1] for j in simplex.bar]) \
             - (simplex.C_float.T @ logz_sigma[:, None]).ravel()
         self.jobs = [_Job(simplex, logz_sigma, delta, dual)
                      for delta, dual in jobs]
         self.log_gamma = self.pole = None
-        # positions of sigma_bar cap I_0 inside sigma_bar, for the dual phases
-        self.bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
-        self.srow = simplex.srow
-        self.C_int = simplex.C_int_float   # |K| < _TABLE_MAX: exact
         self.sigma = sigma
 
     def gamma_args(self, out):
         """Writes c_i - K_i / r of each job at every table entry into its
         row of `out`, a (jobs x table entries) array."""
-        K = np.concatenate([np.arange(k.start, k.stop, k.step, dtype=np.int64)
-                            for k in self.K]) / self.r
         for job, row in zip(self.jobs, out):
-            np.subtract(np.repeat(job.c, self.sizes), K, out=row)
+            np.subtract(np.repeat(job.c, self.layout.sizes), self.layout.K_r,
+                        out=row)
 
-    def fill(self, T, Wf, log_factorials):
-        """Writes the terms of job j at the rows Wf into T[j]."""
-        logmono = Wf @ self.logx - log_factorials
-        # each term's table entry, per column, from K = C_int @ Wf^T
-        if self.r > 1:      # exact: K_i - first_i = r j
-            at = ((self.C_int @ Wf.T - self.first) / self.r).astype(np.intp) \
-                + self.offset
-        else:   # the same entries without two passes over K: 1-6% faster
-            at = (self.C_int @ Wf.T).astype(np.intp) + self.shift
+    def fill(self, T, Wf, log_factorials, a0, a1):
+        """Writes the terms of job j at the rows Wf[a0:a1] into T[j]."""
+        layout, Wf = self.layout, Wf[a0:a1]
+        logmono = Wf @ self.logx - log_factorials[a0:a1]
+        if layout.at is not None:
+            at = layout.at[:, a0:a1]
+            phases = layout.phases[:, a0:a1]
+        else:
+            at = layout.entries(Wf)
+            phases = layout.dual_phases(Wf) \
+                if any(job.dual for job in self.jobs) else None
         for job, log_gamma, t in zip(self.jobs, self.log_gamma, T):
             logt = logmono - _rowsum([log_gamma[a] for a in at])
             if job.dual:
-                logt += 1j * math.pi * (Wf[:, self.bar0].sum(axis=1)
-                                        if self.bar0 else 0.0)
-                logt += 1j * math.pi * (Wf @ self.srow)
+                logt += phases[0]
+                logt += phases[1]
             np.exp(logt, out=t)
         if self.pole is not None:
             for pole, t in zip(self.pole, T):
@@ -311,11 +395,16 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     as every partial sum is an integer below _TABLE_MAX, and sums each
     term's d entries column by column in numpy's order (_rowsum).  The
     rows, their float view and the log-factorial sums come from the (q, M)
-    shell cache.  Per block, each simplex takes its log-monomials and dual
-    phases, each series its terms, exponentiated into its row of one
-    (series x rows) array; the shell maxima, the shell sums and their
-    compensated accumulation are then taken for all rows of that array at
-    once.  Each row comes out bit for bit as a pass of its series alone.
+    shells in _cache.  Each simplex's table layout, and for a pass of one
+    block its rows' table entries and dual phases, come from its _Layout:
+    read from _cache, or built by this pass and kept there once its shells
+    are built, so that a pass stopped by its order, a delta that is not
+    very generic or too many rows keeps no layout.  Per block, each
+    simplex takes its log-monomials, each series its terms, exponentiated
+    into its row of one (series x rows) array; the shell maxima, the shell
+    sums and their compensated accumulation are then taken for all rows of
+    that array at once.  Each row comes out bit for bit as a pass of its
+    series alone.
     """
     if isinstance(simplices, Simplex):
         out, = _sum_series(cfg, [simplices], kvec, z, M, jobs)
@@ -355,11 +444,11 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     # both are elementwise, so each series reads the values of its own call.
     # The call runs in place on the arguments, each part's log_gamma a view
     # of them.  Terms that land on a Gamma pole are snapped to 0.
-    log_gamma = np.empty(sum(len(part.jobs) * sum(part.sizes)
+    log_gamma = np.empty(sum(len(part.jobs) * part.layout.K_r.size
                              for part in parts), dtype=complex)
     a = 0
     for part in parts:
-        n = len(part.jobs) * sum(part.sizes)
+        n = len(part.jobs) * part.layout.K_r.size
         part.log_gamma = log_gamma[a:a + n].reshape(len(part.jobs), -1)
         part.gamma_args(part.log_gamma)
         a += n
@@ -382,6 +471,11 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     del pole
 
     _, bounds, rows_f, log_factorials = _coset_shells(simplices[0], kvec, M)
+    for part in parts:
+        if part.key is not None:    # a layout this pass built: keep it
+            if bounds[M + 1] <= _BLOCK_ROWS:
+                part.layout.keep_rows(rows_f)
+            _cache.put(part.key, part.layout, part.layout.nbytes)
     rows = len(parts) * len(jobs)
     maxes = np.zeros((rows, M + 1))     # max |term| per series and shell
     sums = np.zeros((M + 1, rows), dtype=complex)   # per shell and series
@@ -395,17 +489,17 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
         a0, a1 = bounds[first], bounds[last]
         T = np.empty((rows, a1 - a0), dtype=complex)
         for i, part in enumerate(parts):
-            part.fill(T[i * len(jobs):(i + 1) * len(jobs)], rows_f[a0:a1],
-                      log_factorials[a0:a1])
+            part.fill(T[i * len(jobs):(i + 1) * len(jobs)], rows_f,
+                      log_factorials, a0, a1)
         # the non-empty shells: each segment ends where the next begins
         filled = [deg for deg in range(first, last)
                   if bounds[deg + 1] > bounds[deg]]
         if filled:
             starts = [bounds[deg] - a0 for deg in filled]
             maxes[:, filled] = np.maximum.reduceat(np.abs(T), starts, axis=1)
-        for deg in filled:
-            T[:, bounds[deg] - a0:bounds[deg + 1] - a0].sum(axis=1,
-                                                             out=sums[deg])
+        for deg in filled:      # T[...].sum(axis=1) without its wrapper
+            np.add.reduce(T[:, bounds[deg] - a0:bounds[deg + 1] - a0], 1,
+                          out=sums[deg])
     filled = [deg for deg in range(M + 1) if bounds[deg + 1] > bounds[deg]]
     totals = [_compensated_sum(col) for col in sums[filled].T.tolist()]
     shell_maxes = maxes.tolist()

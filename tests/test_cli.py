@@ -197,7 +197,7 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     # C(1502, 2) = 1,127,251 exponent vectors, beyond the 2^20 row bound
     "series --config g1 --sigma 2,3,4 --kvec 1,0 --delta 0.3,0.2,0.6 "
     "--z 1,1,1,1,0.1 --order 1500",
-    # the exact identities' cost grows steeply: degree 60 takes seconds
+    # the exact identities' cost grows steeply: degree 160 takes about 3.4 s
     "identities --degree 160",
 ])
 def test_oversized_enumerations_exit_two_promptly(capsys, argv):
@@ -334,6 +334,18 @@ def test_verify_case_ok(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["residual"] < doc["tol"]
+
+
+@pytest.mark.parametrize("seed", ["2048839220", "2072859882"])
+def test_verify_phi1_redraws_c_near_a_non_generic_value(capsys, seed):
+    # both seeds drew c within 2.3e-7 and 9.8e-8 of g1, so that an entry of
+    # A_sigma^{-1} delta lay near an integer and the residual missed tol
+    code, out = _run(capsys, ["verify", "--case", "phi1", "--seed", seed])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    g1, g2, c = doc["delta"]
+    assert min(abs(c - t) for t in (g1, g1 + g2, g1 + g2 - 1)) >= 5e-4
+    assert doc["residual"] < doc["tol"] / 100
 
 
 def test_identities_exact(capsys):

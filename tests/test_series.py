@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_coset_table_holds_one_entry_in_r():
         part = series._Part(cfg, s, logz, M, [((0.313, 0.577), False)], (k,))
         want = sum(len(range(t % 3, hi + 1, 3))
                    for t, hi in ((2 * k, 2 * M), (k, M)))
-        assert sum(part.sizes) == want
+        assert sum(part.layout.sizes) == want
         assert want <= (3 * M + 2) // 3 + 2
 
 
@@ -284,14 +285,14 @@ def test_shell_cache_is_read_only_and_cold_equals_warm():
     runs = []
     for clear in (True, False, True):
         if clear:
-            series._shells.cache_clear()
+            series._cache.cache_clear()
         pair = series.gamma_series_pair(cfg, s, z, dplus, dminus,
                                         data["order"])
         runs.append(list(map(_bits, pair)))
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_shell_cache_holds_at_most_its_byte_bound():
+def test_shell_cache_holds_at_most_its_byte_bound(monkeypatch):
     # a sweep of large keys evicts the least recently used entries and keeps
     # the arrays held under the bound; an entry above the bound is built and
     # not kept; every entry equals a fresh build
@@ -299,29 +300,30 @@ def test_shell_cache_holds_at_most_its_byte_bound():
         return shells[0].nbytes + shells[2].nbytes + shells[3].nbytes
 
     bound = 3 * nbytes(series._build_shells(2, 216))
-    cache = series._ShellCache(bound)
+    cache = series._Cache(bound)
+    monkeypatch.setattr(series, "_cache", cache)
     for M in range(200, 216):
-        shells = cache(2, M)
+        shells = series._shells(2, M)
         fresh = series._build_shells(2, M)
         assert shells[1] == fresh[1]
         for a, b in zip(shells[::2] + shells[3:], fresh[::2] + fresh[3:]):
             assert a.tobytes() == b.tobytes()
         assert cache.nbytes <= bound
     assert list(cache._entries) == [(2, 213), (2, 214), (2, 215)]
-    cache(2, 213)                # now used more recently than 214 and 215
-    cache(2, 216)
+    series._shells(2, 213)       # now used more recently than 214 and 215
+    series._shells(2, 216)
     held = dict(cache._entries)
     assert list(held) == [(2, 215), (2, 213), (2, 216)]
     assert cache.nbytes == sum(nbytes(s) for s, _ in held.values()) <= bound
-    assert cache(2, 215) is held[2, 215][0]
-    big = cache(3, 120)
+    assert series._shells(2, 215) is held[2, 215][0]
+    big = series._shells(3, 120)
     assert nbytes(big) > bound and (3, 120) not in cache._entries
-    assert cache(2, 100) is cache(2, 100)
+    assert series._shells(2, 100) is series._shells(2, 100)
 
 
 def test_shell_cache_keeps_every_key_of_the_named_relations(monkeypatch):
     # the warm requests of every named relation find all their shells held
-    series._shells.cache_clear()
+    series._cache.cache_clear()
     for name in intersection.case_names():
         intersection.verify_case(name, seed=0)
 
@@ -331,7 +333,7 @@ def test_shell_cache_keeps_every_key_of_the_named_relations(monkeypatch):
     monkeypatch.setattr(series, "_build_shells", rebuild)
     for name in intersection.case_names():
         intersection.verify_case(name, seed=1)
-    assert series._shells.nbytes <= series._SHELL_BYTES
+    assert series._cache.nbytes <= series._CACHE_BYTES
 
 
 def _bits(value):
@@ -447,7 +449,7 @@ def test_verify_after_other_orders_equals_a_cold_run(monkeypatch, capsys):
     def clear():
         monkeypatch.setattr(triangulation, "_tables", {})
         triangulation._from_simplices.cache_clear()
-        series._shells.cache_clear()
+        series._cache.cache_clear()
 
     cold = {}
     for order in (8, 24):
@@ -628,3 +630,108 @@ def test_transformation_matrix_rows_carry_the_dual_coset_phases():
     for i, kt in enumerate(reps):
         want = cmath.exp(2j * math.pi * sum(k * u for k, u in zip(kt, u0)))
         assert abs(T[i][0] / T[0][0] - want) <= 1e-12, (i, kt)
+
+
+def _pairs_bits(cfg, simplices, z, dplus, dminus, M):
+    return [list(map(_bits, pair)) for pair in series.gamma_series_pairs(
+        cfg, simplices, z, dplus, dminus, M)]
+
+
+@pytest.mark.parametrize("name", sorted(intersection.CASES))
+def test_kept_layouts_give_a_warm_pass_the_bits_of_a_cold_one(name):
+    # a pass that reads the layouts an earlier pass kept, at the same order
+    # or after another one, equals a pass on an empty cache in every field
+    data = intersection.CASES[name](np.random.default_rng(0))
+    cfg, tri, z, M = data["cfg"], data["tri"], data["z"], data["order"]
+    dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                data["twist"])
+    series._cache.cache_clear()
+    cold = _pairs_bits(cfg, tri.simplices, z, dplus, dminus, M)
+    layouts = [v for v, _ in series._cache._entries.values()
+               if isinstance(v, series._Layout)]
+    assert len(layouts) == len(tri.simplices)
+    assert _pairs_bits(cfg, tri.simplices, z, dplus, dminus, M) == cold
+    _pairs_bits(cfg, tri.simplices, z, dplus, dminus, 8)
+    assert _pairs_bits(cfg, tri.simplices, z, dplus, dminus, M) == cold
+
+
+def test_kept_coset_layouts_give_warm_series_the_bits_of_cold_ones():
+    # r = 2: each coset k keeps its own layout; every coset's phi and
+    # phi^vee, warm and in any order, equal their cold values
+    cfg = config.get_config("g1")
+    s = _nonunimodular_simplex(cfg)
+    z, delta = (0.05, 0.5, 1.0, 2.0, 0.02), (0.313, 0.577, 0.239)
+    kreps = _coset_reps(cfg, s)
+
+    def run(k):
+        return [_bits(fn(cfg, s, k, z, delta, 30))
+                for fn in (series.gamma_series, series.dual_gamma_series)]
+
+    cold = {}
+    for k in kreps:
+        series._cache.cache_clear()
+        cold[tuple(k)] = run(k)
+    assert len(set(map(str, cold.values()))) == len(kreps)
+    for k in [*kreps, *reversed(kreps)]:
+        assert run(k) == cold[tuple(k)], k
+
+
+def test_equal_simplices_with_other_C_int_keep_their_own_layouts():
+    # sigma = (1, 2) is the same Simplex in both configurations (equality
+    # ignores C_int), but the third column, and so C_int, differ
+    cfgs = [config.build_cayley(1, 1, [[], [[0, 1, c]]]) for c in (2, 3)]
+    simplices = [triangulation.make_simplex(cfg, (1, 2)) for cfg in cfgs]
+    assert simplices[0] == simplices[1]
+    assert simplices[0].C_int.tolist() != simplices[1].C_int.tolist()
+    z, delta = (1.0, 1.0, 0.05), (0.313, 0.577)
+
+    def run(i):
+        return [_bits(fn(cfgs[i], simplices[i], None, z, delta, 20))
+                for fn in (series.gamma_series, series.dual_gamma_series)]
+
+    cold = []
+    for i in (0, 1):
+        series._cache.cache_clear()
+        cold.append(run(i))
+    assert cold[0] != cold[1]
+    for i in (0, 1, 0, 1):
+        assert run(i) == cold[i], i
+
+
+def test_kept_layouts_and_shells_share_one_byte_bound(monkeypatch):
+    # a bound one byte short of what a phi1 pass keeps evicts the least
+    # recently used entry, its shells; every pass still equals a cold one
+    data = intersection.CASES["phi1"](np.random.default_rng(0))
+    cfg, tri, z, M = data["cfg"], data["tri"], data["z"], data["order"]
+    dplus, dminus = intersection.twisted_deltas(cfg, data["delta"],
+                                                data["twist"])
+    cache = series._Cache(series._CACHE_BYTES)
+    monkeypatch.setattr(series, "_cache", cache)
+    cold = _pairs_bits(cfg, tri.simplices, z, dplus, dminus, M)
+    held = dict(cache._entries)
+    assert list(held)[0] == (2, M) and len(held) == 1 + len(tri.simplices)
+    assert cache.nbytes == sum(size for _, size in held.values())
+    cache = series._Cache(cache.nbytes - 1)
+    monkeypatch.setattr(series, "_cache", cache)
+    for i in range(3):
+        assert _pairs_bits(cfg, tri.simplices, z, dplus, dminus, M) == cold
+        assert cache.nbytes == sum(size for _, size in
+                                   cache._entries.values()) <= cache.max_bytes
+        assert len(cache._entries) == len(tri.simplices)
+        if i == 0:      # kept first, so used least recently
+            assert list(cache._entries) == list(held)[1:]
+
+
+def test_oversized_order_keeps_nothing(capsys):
+    # the table bound is checked in Python ints before a layout exists: the
+    # request exits 2 promptly and the cache holds what it held before
+    series._cache.cache_clear()
+    assert cli.main(["verify", "--case", "phi1", "--seed", "0"]) \
+        == cli.EXIT_OK
+    before = dict(series._cache._entries)
+    t0 = time.perf_counter()
+    code = cli.main(["verify", "--case", "phi1", "--order", str(10 ** 20)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("bad input")
+    assert series._cache._entries == before

@@ -524,26 +524,18 @@ def test_table_simplex_views_are_exact_bit_for_bit(name):
             == _bits(np.array([[float(x) for x in row] for row in C]))
 
 
-_SERIES_VIEWS = ("C_int_float", "row_min", "row_max", "srow",
-                 "genericity_lattice")
+_SERIES_VIEWS = ("genericity_lattice",)
 
 
 @pytest.mark.parametrize("name", config.registry_names())
 def test_series_views_equal_their_definitions(name):
-    # the views a series pass reads, against the expressions the pass and
-    # the genericity scan computed before they were kept on the simplex,
-    # signed zeros included; the row bounds are Python ints
+    # the view a series pass reads, against the expression the genericity
+    # scan computed before it was kept on the simplex, signed zeros included
     cfg = config.get_config(name)
     simplices = list(triangulation._table(cfg).simplices)
     simplices.append(triangulation.make_simplex(
         config.build_cayley(1, 1, [[], [[0, 3, 1]]]), (1, 2)))
     for s in simplices:
-        C = s.C_int
-        assert _bits(s.C_int_float) == _bits(C.astype(float))
-        assert s.row_min == tuple(min([0, *row]) for row in C.tolist())
-        assert s.row_max == tuple(max([0, *row]) for row in C.tolist())
-        assert all(type(x) is int for x in s.row_min + s.row_max)
-        assert _bits(s.srow) == _bits(s.C_float[s.pos0, :].sum(axis=0))
         W, _ = intlinalg.graded_lex_shells(len(s.bar),
                                            config.GENERICITY_DEGREE)
         assert _bits(s.genericity_lattice) \
