@@ -19,9 +19,8 @@ from .triangulation import (Simplex, Triangulation,
                             staircase_triangulation, triangulate,
                             triangulation_from_simplices)
 from .series import (SeriesValue, dual_gamma_series, epsilon_sigma,
-                     gamma_series, gamma_series_pair, lattice_shells,
-                     sample_point_in_UT, sgn_A_sigma, transformation_matrix,
-                     transformation_matrix_dual)
+                     gamma_series, sample_point_in_UT, sgn_A_sigma,
+                     transformation_matrix, transformation_matrix_dual)
 from .intersection import (RelationReport, TwistVector, case_names,
                            exact_coefficient_identity,
                            homology_intersection, matsumoto_ag,

@@ -102,6 +102,21 @@ def build_cayley(k, n, block_matrices, name=""):
     return cfg
 
 
+def _pair_config(k, factors, pairs, name):
+    """The configuration with one column e(i) + e(j) per (i, j) of pairs,
+    projected onto the rows e_j for j in factors, then e_1, ..., e_k (e(0)
+    and any other e(j) are projected away).  Block 0 holds the columns of
+    no factor, block l those of the l-th factor."""
+    rows = [*factors, *range(1, k + 1)]
+    matrix = [[(i == x) + (j == x) for i, j in pairs] for x in rows]
+    blocks = [tuple(c + 1 for c, (_, j) in enumerate(pairs)
+                    if j not in factors)]
+    blocks += [tuple(c + 1 for c, (_, j) in enumerate(pairs) if j == f)
+               for f in factors]
+    return Config(matrix=_freeze(matrix), blocks=tuple(blocks), name=name,
+                  pairs=tuple(pairs))
+
+
 def aomoto_gelfand_config(k, n):
     """Reduced configuration for the E(k+1, n+1) family.
 
@@ -113,23 +128,7 @@ def aomoto_gelfand_config(k, n):
     if not 1 <= k < n:
         raise BadDimensions(f"need 1 <= k < n, got k={k}, n={n}")
     pairs = [(i, j) for i in range(k + 1) for j in range(k + 1, n + 1)]
-    row_index = {("e", j): r for r, j in enumerate(range(k + 1, n + 1))}
-    for r, i in enumerate(range(1, k + 1)):
-        row_index[("e", i)] = (n - k) + r
-    d = n
-    cols = []
-    for (i, j) in pairs:
-        col = [0] * d
-        col[row_index[("e", j)]] += 1
-        if i >= 1:
-            col[row_index[("e", i)]] += 1
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(d)]
-    blocks = [()]  # no exponential block
-    for j in range(k + 1, n + 1):
-        blocks.append(tuple(c + 1 for c, (i2, j2) in enumerate(pairs) if j2 == j))
-    return Config(matrix=_freeze(rows), blocks=tuple(blocks),
-                  name=f"ag({k},{n})", pairs=tuple(pairs))
+    return _pair_config(k, range(k + 1, n + 1), pairs, f"ag({k},{n})")
 
 
 def confluent_config(k, n):
@@ -139,27 +138,9 @@ def confluent_config(k, n):
     e_1,...,e_k."""
     if not 1 <= k < n - 1:
         raise BadDimensions(f"need 1 <= k < n-1, got k={k}, n={n}")
-    finite_pairs = [(i, j) for i in range(k + 1) for j in range(k + 1, n)]
-    irr_pairs = [(i, n) for i in range(1, k + 1)]
-    pairs = finite_pairs + irr_pairs
-    row_index = {("e", j): r for r, j in enumerate(range(k + 1, n))}
-    for r, i in enumerate(range(1, k + 1)):
-        row_index[("e", i)] = (n - 1 - k) + r
-    d = n - 1
-    cols = []
-    for (i, j) in pairs:
-        col = [0] * d
-        if j <= n - 1:
-            col[row_index[("e", j)]] += 1
-        if i >= 1:
-            col[row_index[("e", i)]] += 1
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(d)]
-    blocks = [tuple(c + 1 for c, (i2, j2) in enumerate(pairs) if j2 == n)]
-    for j in range(k + 1, n):
-        blocks.append(tuple(c + 1 for c, (i2, j2) in enumerate(pairs) if j2 == j))
-    return Config(matrix=_freeze(rows), blocks=tuple(blocks),
-                  name=f"confluent({k},{n})", pairs=tuple(pairs))
+    pairs = [(i, j) for i in range(k + 1) for j in range(k + 1, n)] \
+        + [(i, n) for i in range(1, k + 1)]
+    return _pair_config(k, range(k + 1, n), pairs, f"confluent({k},{n})")
 
 
 def genericity_lattice(simplex):

@@ -166,14 +166,6 @@ def _coset_shells(simplex, kvec, M):
     return W, bounds, Wf, log_factorials
 
 
-def lattice_shells(cfg, sigma, kvec, M):
-    """All w = k + m in Lambda_k with |w| <= M, in graded-lex order, as
-    (W, bounds): the rows of the read-only W satisfy the exact congruence
-    A_sigma_bar (w - k) in Z A_sigma, and shell deg is
-    W[bounds[deg]:bounds[deg + 1]]."""
-    return _coset_shells(_as_simplex(cfg, sigma), kvec, M)[:2]
-
-
 def _rowsum(cols):
     """The row sums of the (rows, len(cols)) array with columns `cols`, bit
     for bit as numpy's sum(axis=1) takes them: a row of fewer than 8 scalars
@@ -379,11 +371,11 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     """The series (delta, dual) of `jobs` on each of `simplices`, in one
     pass over the shells they share.
 
-    `simplices` is one Simplex, or a sequence of simplices that share one
-    row set: unimodular ones with kvec None.  For one Simplex the result is
-    its list of SeriesValues, one per job, and its errors are raised.  For a
-    sequence it is, per simplex, that list or the exception the simplex's
-    own pass would raise, so that a caller can raise each in its turn.
+    `simplices` is a sequence of simplices that share one row set: one
+    simplex, or unimodular ones with kvec None.  The result is, per
+    simplex, its list of SeriesValues, one per job, or the exception the
+    simplex's own pass would raise, so that a caller can raise each in its
+    turn.
 
     The Gamma argument of column i of a term w is c_i - K_i / r, K = C_int w
     in exact integers.  Each series tables c_i - K_i / r at every r-th
@@ -406,11 +398,6 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     that array at once.  Each row comes out bit for bit as a pass of its
     series alone.
     """
-    if isinstance(simplices, Simplex):
-        out, = _sum_series(cfg, [simplices], kvec, z, M, jobs)
-        if isinstance(out, Exception):
-            raise out
-        return out
     if len(simplices) > 1 and (kvec is not None
                                or any(s.r != 1 for s in simplices)):
         raise ValueError("simplices of one pass must share their rows: "
@@ -518,30 +505,29 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     return outs
 
 
+def _one_series(cfg, sigma, kvec, z, M, job):
+    """The SeriesValue of job = (delta, dual) on sigma; raises its error."""
+    out, = _sum_series(cfg, [_as_simplex(cfg, sigma)], kvec, z, M, [job])
+    if isinstance(out, Exception):
+        raise out
+    return out[0]
+
+
 def gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi_{sigma,k}(z; delta) truncated at graded degree M."""
-    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, M,
-                       [(delta, False)])[0]
+    return _one_series(cfg, sigma, kvec, z, M, (delta, False))
 
 
 def dual_gamma_series(cfg, sigma, kvec, z, delta, M):
     """phi^vee_{sigma,k}(z; delta) truncated at graded degree M."""
-    return _sum_series(cfg, _as_simplex(cfg, sigma), kvec, z, M,
-                       [(delta, True)])[0]
-
-
-def gamma_series_pair(cfg, sigma, z, delta_plus, delta_minus, M):
-    """(phi_{sigma,0}(z; delta_plus), phi^vee_{sigma,0}(z; delta_minus)),
-    truncated at graded degree M, in one pass over the shells; each equals
-    the single-series call bit for bit."""
-    return tuple(_sum_series(cfg, _as_simplex(cfg, sigma), None, z, M,
-                             [(delta_plus, False), (delta_minus, True)]))
+    return _one_series(cfg, sigma, kvec, z, M, (delta, True))
 
 
 def gamma_series_pairs(cfg, simplices, z, delta_plus, delta_minus, M):
     """For each of `simplices`, unimodular simplices of one configuration,
-    its gamma_series_pair, or the exception that call would raise; the
-    series of all of them share one pass over the shells."""
+    (phi_{sigma,0}(z; delta_plus), phi^vee_{sigma,0}(z; delta_minus)) to
+    graded degree M, each bit for bit its single-series call, or the error
+    its own pass would raise; all share one pass over the shells."""
     return _sum_series(cfg, simplices, None, z, M,
                        [(delta_plus, False), (delta_minus, True)])
 

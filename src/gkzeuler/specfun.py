@@ -38,25 +38,11 @@ def gamma(z):
     return complex(_special().gamma(z))
 
 
-def pochhammer(alpha, beta):
-    """(alpha)_beta = Gamma(alpha + beta) / Gamma(alpha).
-
-    For integer beta the value is computed as a rising (or reciprocal
-    falling) product, which stays finite when alpha sits on a Gamma pole but
-    the ratio has a limit.
-    """
-    if isinstance(beta, int) or (isinstance(beta, complex) is False
-                                 and float(beta).is_integer()):
-        return _rising(complex(alpha), int(beta), 1.0 + 0j)
-    if isinstance(beta, complex) and abs(beta.imag) <= _POLE_TOL \
-            and abs(beta.real - round(beta.real)) <= _POLE_TOL:
-        return _rising(complex(alpha), round(beta.real), 1.0 + 0j)
-    a, b = complex(alpha), complex(beta)
-    if _is_nonpositive_integer(a + b):
-        raise UndefinedRatio(f"Gamma pole at alpha+beta={a + b}")
-    if _is_nonpositive_integer(a):
-        raise UndefinedRatio(f"Gamma pole at alpha={a} with non-integer beta")
-    return gamma(a + b) / gamma(a)
+def pochhammer(alpha, m):
+    """(alpha)_m = Gamma(alpha + m) / Gamma(alpha) for an integer m, as a
+    rising (or reciprocal falling) product (_rising), which stays finite
+    when alpha sits on a Gamma pole but the ratio has a limit."""
+    return _rising(complex(alpha), m, 1.0 + 0j)
 
 
 def _rising(a, m, one):

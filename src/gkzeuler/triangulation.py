@@ -16,10 +16,10 @@ C_int = r A_sigma^{-1} A_sigma-bar; its float views are correctly rounded
 quotients of them by r = |det|, and the genericity lattice a series pass
 reads is an exact function of them; each view is computed on first use.
 What depends on the configuration alone is computed once per configuration
-and kept in a table: every nonsingular d-subset as a Simplex, and the
-normalized volume; whether the configuration is homogeneous is read off
-the first simplex's C_int.  A lifting is then tested against the table
-with integer products only.  A secondary-fan scan validates each distinct
+and kept by functools.cache: every nonsingular d-subset as a Simplex
+(_simplices), against which a lifting is tested with integer products only,
+and the normalized volume; the first simplex's C_int decides whether the
+configuration is homogeneous.  A secondary-fan scan validates each distinct
 index set once, and a triangulation given by explicit index sets is built
 and validated once per (configuration, index sets, seed).
 """
@@ -39,6 +39,7 @@ from . import intlinalg
 
 _LADDERS_MAX = 100_000   # ladders one enumerate_ladders call may list
 _LAMBDA_MAX = 420_000    # the largest entry of a random ray lambda
+_SAMPLES_MAX = 100_000   # liftings one secondary-fan scan may draw
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,14 @@ def make_simplex(cfg, indices):
 
 
 def _triangulate_raw(cfg, omega):
-    """Simplices of T(omega) without validation, in the table's order.  sigma
+    """Simplices of T(omega) without validation, in _simplices order.  sigma
     is a cell iff omega_sigma C < omega_j for every column j outside sigma;
     both sides are scaled by r so the test reads the integers C_int.  omega
     holds integers or rationals."""
     if len(omega) != cfg.N:
         raise BadDimensions(f"omega length {len(omega)} != {cfg.N}")
     out = []
-    for s in _table(cfg).simplices:
+    for s in _simplices(cfg):
         w_sigma = np.array([omega[i - 1] for i in s.indices], dtype=object)
         for v, j in zip(w_sigma @ s.C_int, s.bar):
             if v == s.r * omega[j - 1]:
@@ -194,65 +195,40 @@ def is_homogeneous(cfg):
     """True when yA = 1 for some rational row vector y, i.e. all columns lie
     on a common affine hyperplane.  For a nonsingular sigma, y must be
     1 A_sigma^{-1}, so this holds iff every column of C sums to 1, i.e. every
-    column of C_int sums to r; the first simplex of the table decides.  The
+    column of C_int sums to r; the first of _simplices(cfg) decides.  The
     sum of simplex volumes is a triangulation invariant only in this case."""
     return all((s.C_int.sum(axis=0) == s.r).all()
-               for s in _table(cfg).simplices[:1])
+               for s in _simplices(cfg)[:1])
 
 
-class _ConfigTable:
-    """What the triangulation layer derives from a configuration alone: its
-    simplices (the first of which decides is_homogeneous) and its normalized
-    volume, each computed on first use."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    @cached_property
-    def simplices(self):
-        """Every nonsingular d-subset, in combinations order."""
-        out = []
-        for sigma in combinations(range(1, self.cfg.N + 1), self.cfg.d):
-            try:
-                s = make_simplex(self.cfg, sigma)
-            except SingularMatrix:
-                continue
-            out.append(s)
-        return tuple(out)
-
-    @cached_property
-    def volume(self):
-        """See normalized_volume."""
-        rng = random.Random(20240 + self.cfg.N)
-        for _ in range(200):
-            omega = [rng.randint(-10 ** 6, 10 ** 6)
-                     for _ in range(self.cfg.N)]
-            try:
-                simplices = _triangulate_raw(self.cfg, omega)
-            except DegenerateLifting:
-                continue
-            if simplices and _ray_test(self.cfg, simplices, rng):
-                return sum(s.r for s in simplices)
-        raise ExhaustedRetries("could not build a reference triangulation")
+@cache
+def _simplices(cfg):
+    """Every nonsingular d-subset of cfg as a Simplex, in combinations
+    order."""
+    out = []
+    for sigma in combinations(range(1, cfg.N + 1), cfg.d):
+        try:
+            out.append(make_simplex(cfg, sigma))
+        except SingularMatrix:
+            continue
+    return tuple(out)
 
 
-_tables = {}
-
-
-def _table(cfg):
-    """The configuration's table.  Keyed by matrix and blocks, because
-    Simplex.blocks depends on the blocks."""
-    key = (cfg.matrix, cfg.blocks)
-    if key not in _tables:
-        _tables[key] = _ConfigTable(cfg)
-    return _tables[key]
-
-
+@cache
 def normalized_volume(cfg):
     """Normalized volume of the configuration: sum of |det A_sigma| over a
     reference regular triangulation obtained from a fixed pseudo-random
     lifting, validated by the random-ray test."""
-    return _table(cfg).volume
+    rng = random.Random(20240 + cfg.N)
+    for _ in range(200):
+        omega = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(cfg.N)]
+        try:
+            simplices = _triangulate_raw(cfg, omega)
+        except DegenerateLifting:
+            continue
+        if simplices and _ray_test(cfg, simplices, rng):
+            return sum(s.r for s in simplices)
+    raise ExhaustedRetries("could not build a reference triangulation")
 
 
 def is_convergent(simplices):
@@ -312,9 +288,12 @@ def enumerate_regular_triangulations(cfg, samples=500, seed=0):
     random liftings, in discovery order, each with the first omega that gave
     it.  Not guaranteed exhaustive.  Each distinct index set is validated
     once; the verdict is the same every time, because _validate draws its
-    rays from a fixed seed."""
+    rays from a fixed seed.  Raises BadDimensions beyond _SAMPLES_MAX
+    samples."""
     if samples < 1:
         raise BadDimensions(f"need at least 1 sample, got {samples}")
+    if samples > _SAMPLES_MAX:
+        raise BadDimensions(f"{samples} samples exceed {_SAMPLES_MAX}")
     rng = random.Random(seed)
     verdicts = {}           # index set -> Triangulation, or None if rejected
     for _ in range(samples):

@@ -1,11 +1,14 @@
 """Independent reference implementations that only the tests use: the
 classical quadratic relations of the Gauss and Kummer series by direct
 truncated summation, the exact rational rising product, a cofactor-expansion
-determinant, the Pochhammer reflection identity, the lifting criterion in
-Fraction arithmetic, the secondary-fan scan with one validation per lifting,
-the random-ray test one ray and one simplex at a time, a recursive graded-lex
-enumerator, the Gamma-series summed one shell at a time and the Gamma-series
-summed term by term in mpmath with exact Gamma arguments."""
+determinant, the Pochhammer reflection identity, the Aomoto-Gelfand and
+confluent configurations built in the full basis e(0), ..., e(n), the
+lifting criterion in Fraction arithmetic, the secondary-fan scan with one
+validation per lifting, the random-ray test one ray and one simplex at a
+time, a recursive graded-lex enumerator, the Gamma-series summed one shell
+at a time and the Gamma-series summed term by term in mpmath with exact
+Gamma arguments; and series_pair, the pair of series of one simplex read
+off the stacked series pass."""
 
 import cmath
 import math
@@ -17,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from gkzeuler import intlinalg, specfun, triangulation
+from gkzeuler import intlinalg, series, specfun, triangulation
 from gkzeuler.errors import (DegenerateLifting, ExhaustedRetries,
                              NotATriangulation, SingularMatrix)
 
@@ -97,6 +100,47 @@ def pochhammer_reflection_check(gamma_val, m):
            / (specfun.gamma(g) * specfun.gamma(1 - g - m)
               * (1 - cmath.exp(-2j * math.pi * g))))
     return abs(lhs - rhs)
+
+
+def pair_config_oracle(k, n, confluent):
+    """(matrix, blocks, pairs, name) of aomoto_gelfand_config(k, n), or of
+    confluent_config(k, n), as their docstrings define them.  Each column is
+    built in the full basis e(0), ..., e(n): e(i) + e(j) for 0 <= i <= k <
+    j <= n (j <= n - 1 when confluent), i outer and j inner, then, when
+    confluent, -e(0) + e(i) labelled (i, n) for i = 1..k.  The rows kept
+    are e_{k+1}, ..., e_top, then e_1, ..., e_k, top = n (n - 1 when
+    confluent); e(0) and, when confluent, e(n) are projected away.  Block
+    l >= 1 holds the columns with j = k + l, block 0 the columns (i, n) of
+    the confluent family."""
+    top = n - 1 if confluent else n
+    pairs = [(i, j) for i in range(k + 1) for j in range(k + 1, top + 1)]
+    if confluent:
+        pairs += [(i, n) for i in range(1, k + 1)]
+    full = np.zeros((n + 1, len(pairs)), dtype=int)
+    for c, (i, j) in enumerate(pairs):
+        if confluent and j == n:
+            full[0, c] -= 1
+            full[i, c] += 1
+        else:
+            full[i, c] += 1
+            full[j, c] += 1
+    rows = [*range(k + 1, top + 1), *range(1, k + 1)]
+    matrix = tuple(tuple(int(x) for x in full[r]) for r in rows)
+    blocks = tuple(tuple(c + 1 for c, (_, j) in enumerate(pairs) if j == b)
+                   for b in [n if confluent else None, *range(k + 1, top + 1)])
+    name = f"confluent({k},{n})" if confluent else f"ag({k},{n})"
+    return matrix, blocks, tuple(pairs), name
+
+
+def series_pair(cfg, simplex, z, delta_plus, delta_minus, M):
+    """(phi_{sigma,0}(z; delta_plus), phi^vee_{sigma,0}(z; delta_minus)) of
+    one simplex, from series.gamma_series_pairs; raises the simplex's
+    error."""
+    pair, = series.gamma_series_pairs(cfg, [simplex], z, delta_plus,
+                                      delta_minus, M)
+    if isinstance(pair, Exception):
+        raise pair
+    return tuple(pair)
 
 
 def regular_cells(cfg, omega):

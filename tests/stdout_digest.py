@@ -1,0 +1,78 @@
+"""Digest of what the CLI prints for a fixed list of argv.
+
+Prints one line per argv, `sha256  argv`, the sha256 of the JSON array
+[exit code, stdout, stderr] of `gkzeuler <argv>`.  The list covers verify
+for every case at seeds 0-19 and at orders 0, 2, 8 and 10^20, report, the
+series command on gauss and on both cosets of g1's volume-2 simplex (with
+and without --dual, and with a non-generic delta, a divergent z and a zero
+z), and a 100-sample fan-scan of each small configuration.
+
+All argv run in one process, in list order and then in reverse; the script
+exits 1 if any argv prints other bytes the second time, so no output may
+depend on what an earlier request left in the caches.  Two trees compare by
+running it in each on the same machine and diffing the outputs:
+
+    PYTHONPATH=src python tests/stdout_digest.py > digest.txt
+
+Not a test module: pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+from gkzeuler import cli
+from gkzeuler.intersection import case_names
+
+_SMALL_CONFIGS = ("g1", "gamma2", "h4", "f1", "phi1", "gauss", "kummer")
+_GAUSS = "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613"
+_G1 = "series --config g1 --sigma 2,3,4 --delta 0.3,0.2,0.6"
+
+
+def argvs():
+    out = []
+    for case in case_names():
+        out += [f"verify --case {case} --seed {seed}" for seed in range(20)]
+        out += [f"verify --case {case} --seed 0 --order {order}"
+                for order in (0, 2, 8, 10 ** 20)]
+    out.append("report --seed 0")
+    for dual in ("", " --dual"):
+        out.append(f"{_GAUSS} --z 1,1,1,0.21{dual}")
+        out += [f"{_G1} --z 1,1,1,1,0.1 --kvec {kvec}{dual}"
+                for kvec in ("0,0", "1,0")]
+    out += [
+        # delta = A_sigma (1, 2, 1): not very generic
+        "series --config gauss --sigma 1,2,3 --delta 2,2,1 --z 1,1,1,0.21",
+        f"{_GAUSS} --z 1,1,1,50",        # outside the convergence domain
+        f"{_GAUSS} --z 0,1,1,0.21",      # z must lie in (C*)^N
+    ]
+    out += [f"fan-scan --config {name} --samples 100"
+            for name in _SMALL_CONFIGS]
+    return out
+
+
+def digest(argv):
+    """sha256 of [exit code, stdout, stderr] of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main():
+    argv_list = argvs()
+    forward = {argv: digest(argv) for argv in argv_list}
+    for argv in argv_list:
+        print(f"{forward[argv]}  {argv}")
+    changed = [argv for argv in reversed(argv_list)
+               if digest(argv) != forward[argv]]
+    for argv in changed:
+        print(f"differs when run in reverse order: {argv}", file=sys.stderr)
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -199,6 +199,8 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     "--z 1,1,1,1,0.1 --order 1500",
     # the exact identities' cost grows steeply: degree 160 takes about 3.4 s
     "identities --degree 160",
+    # a fan-scan draws one lifting per sample, without an end of its own
+    "fan-scan --config g1 --samples 100001",
 ])
 def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     t0 = time.perf_counter()

@@ -2,6 +2,7 @@
 registry and genericity checking."""
 
 import pytest
+from oracles import pair_config_oracle
 
 from gkzeuler import config, intlinalg, triangulation
 from gkzeuler.errors import BadDimensions, LatticeNotFull
@@ -103,6 +104,26 @@ def test_confluent_column_count():
         assert len(cfg.blocks[0]) == k
     with pytest.raises(BadDimensions):
         config.confluent_config(2, 3)
+
+
+@pytest.mark.parametrize("confluent", [False, True])
+def test_pair_configs_match_their_definitions(confluent):
+    # every valid (k, n) with n <= 9: matrix, blocks, pairs and name as the
+    # docstrings define them, and BadDimensions just outside the valid range
+    build = config.confluent_config if confluent \
+        else config.aomoto_gelfand_config
+    built = 0
+    for n in range(10):
+        for k in range(-1, n + 2):
+            if not 1 <= k < (n - 1 if confluent else n):
+                with pytest.raises(BadDimensions):
+                    build(k, n)
+                continue
+            cfg = build(k, n)
+            assert (cfg.matrix, cfg.blocks, cfg.pairs, cfg.name) \
+                == pair_config_oracle(k, n, confluent), (k, n)
+            built += 1
+    assert built == (28 if confluent else 36)
 
 
 def test_is_very_generic_accepts_irrational_like_and_rejects_integral():

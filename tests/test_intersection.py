@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gauss_relation_residual, kummer_relation_residual
+from oracles import (gauss_relation_residual, kummer_relation_residual,
+                     series_pair)
 
 from gkzeuler import config, intersection, series, triangulation
 from gkzeuler.errors import (BadDimensions, DivergentTail,
@@ -118,12 +119,12 @@ def test_quadratic_lhs_two_routes_agree(name):
 
 def _relation_sum_per_simplex(cfg, tri, delta, twist, z, M, weight):
     """The relation sum one simplex at a time: its weight, then its own
-    gamma_series_pair, then the trust check."""
+    one-simplex series pass, then the trust check."""
     dplus, dminus = intersection.twisted_deltas(cfg, delta, twist)
     total = 0j
     for s in tri.simplices:
         w = weight(s)
-        f, fd = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+        f, fd = series_pair(cfg, s, z, dplus, dminus, M)
         if not (f.trusted and fd.trusted):
             raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
         total += w * f.value * fd.value

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (graded_lex_recursive, series_by_direct_sum,
-                     series_by_shell, split_shells)
+                     series_by_shell, series_pair, split_shells)
 
 from gkzeuler import (cli, config, intersection, intlinalg, series,
                       triangulation)
@@ -45,7 +45,7 @@ def test_lattice_cosets_partition_the_orthant():
     assert len(kreps) == s.r
     q = cfg.N - cfg.d
     maxdeg = 20
-    shells = {tuple(k): split_shells(*series.lattice_shells(cfg, s, k, maxdeg))
+    shells = {tuple(k): split_shells(*series._coset_shells(s, k, maxdeg)[:2])
               for k in kreps}
     for deg in range(maxdeg + 1):
         everything = list(graded_lex_recursive(q, deg))
@@ -64,7 +64,7 @@ def test_lattice_shell_congruence_is_exact():
     C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
     kvec = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)[1]
-    W, _ = series.lattice_shells(cfg, s, kvec, 12)
+    W, _ = series._coset_shells(s, kvec, 12)[:2]
     for w in W:
         m = [int(wi) - ki for wi, ki in zip(w, kvec)]
         img = intlinalg.mat_vec(C, m)
@@ -168,7 +168,7 @@ def test_registry_gamma_grid_is_exact_in_floats():
     # gives registry series the arguments a float grid gives them
     for name in config.registry_names():
         cfg = config.get_config(name)
-        for s in triangulation._table(cfg).simplices:
+        for s in triangulation._simplices(cfg):
             W, _ = intlinalg.graded_lex_shells(len(s.bar), 12)
             K = W @ s.C_int.astype(np.int64).T
             assert (K / s.r).tobytes() \
@@ -227,7 +227,7 @@ def test_block_evaluation_matches_shell_by_shell_reference(monkeypatch,
 @pytest.mark.parametrize("which", ["g1", "volume three"])
 def test_coset_filter_matches_python_int_filter(which):
     # the congruence C_int (w - k) = 0 mod r, tested in Python ints on every
-    # row, keeps the rows and shell bounds lattice_shells returns, for every
+    # row, keeps the rows and shell bounds _coset_shells returns, for every
     # k in {0, 1, 2}^q and for a k beyond int64
     if which == "g1":
         cfg = config.get_config("g1")
@@ -241,7 +241,7 @@ def test_coset_filter_matches_python_int_filter(which):
                 @ s.C_int.T % s.r == 0).all(axis=1)
         want = [W[a:b][keep[a:b]].tolist() for a, b in zip(bounds, bounds[1:])]
         got = [shell.tolist() for shell in
-               split_shells(*series.lattice_shells(cfg, s, kvec, M))]
+               split_shells(*series._coset_shells(s, kvec, M)[:2])]
         assert got == want, kvec
 
 
@@ -275,7 +275,7 @@ def test_shell_cache_is_read_only_and_cold_equals_warm():
     gauss, g1 = config.get_config("gauss"), config.get_config("g1")
     for cfg, s in ((gauss, triangulation.make_simplex(gauss, (1, 2, 3))),
                    (g1, _nonunimodular_simplex(g1))):
-        W, _ = series.lattice_shells(cfg, s, None, 10)
+        W, _ = series._coset_shells(s, None, 10)[:2]
         with pytest.raises(ValueError):
             W[0, 0] = 7
     data = intersection.CASES["e36"](np.random.default_rng(0))
@@ -286,8 +286,7 @@ def test_shell_cache_is_read_only_and_cold_equals_warm():
     for clear in (True, False, True):
         if clear:
             series._cache.cache_clear()
-        pair = series.gamma_series_pair(cfg, s, z, dplus, dminus,
-                                        data["order"])
+        pair = series_pair(cfg, s, z, dplus, dminus, data["order"])
         runs.append(list(map(_bits, pair)))
     assert runs[0] == runs[1] == runs[2]
 
@@ -356,7 +355,7 @@ def test_series_pair_matches_single_series_bit_for_bit(name):
         twisted |= dplus != dminus
         for M in (data["order"], 0, 2, 8):
             for s in data["tri"].simplices:
-                pair = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+                pair = series_pair(cfg, s, z, dplus, dminus, M)
                 single = (series.gamma_series(cfg, s, None, z, dplus, M),
                           series.dual_gamma_series(cfg, s, None, z, dminus,
                                                    M))
@@ -372,7 +371,7 @@ def test_stacked_relation_pass_matches_per_simplex_pairs(monkeypatch, name,
                                                          block_rows):
     # the series of all simplices of a relation share one pass and one
     # (series x rows) array per block; every field of every SeriesValue must
-    # equal the simplex's own gamma_series_pair, whatever the block size
+    # equal the simplex's own one-simplex pass, whatever the block size
     monkeypatch.setattr(series, "_BLOCK_ROWS", block_rows)
     for seed in range(5):
         data = intersection.CASES[name](np.random.default_rng(seed))
@@ -384,7 +383,7 @@ def test_stacked_relation_pass_matches_per_simplex_pairs(monkeypatch, name,
                                             dminus, M)
             assert len(got) == len(tri.simplices)
             for s, pair in zip(tri.simplices, got):
-                want = series.gamma_series_pair(cfg, s, z, dplus, dminus, M)
+                want = series_pair(cfg, s, z, dplus, dminus, M)
                 assert list(map(_bits, pair)) == list(map(_bits, want)), \
                     (seed, M, s.indices)
 
@@ -399,8 +398,8 @@ def test_series_pass_through_gamma_poles_matches_single_series():
     s = triangulation.make_simplex(cfg, (1, 2))
     z = (1.0, 1.0, 0.5)
     dplus, dminus = (-1.45, -7.0), (-1.34, -7.0)
-    got = series._sum_series(cfg, s, (3,), z, 24,
-                             [(dplus, False), (dminus, True)])
+    got, = series._sum_series(cfg, [s], (3,), z, 24,
+                              [(dplus, False), (dminus, True)])
     want = (series.gamma_series(cfg, s, (3,), z, dplus, 24),
             series.dual_gamma_series(cfg, s, (3,), z, dminus, 24))
     assert list(map(_bits, got)) == list(map(_bits, want))
@@ -447,7 +446,8 @@ def test_verify_after_other_orders_equals_a_cold_run(monkeypatch, capsys):
         return capsys.readouterr().out
 
     def clear():
-        monkeypatch.setattr(triangulation, "_tables", {})
+        triangulation._simplices.cache_clear()
+        triangulation.normalized_volume.cache_clear()
         triangulation._from_simplices.cache_clear()
         series._cache.cache_clear()
 
@@ -472,10 +472,10 @@ def test_series_pair_checks_genericity_once_per_distinct_delta(monkeypatch):
         return config.is_very_generic(simplex, d)
 
     monkeypatch.setattr(series, "is_very_generic", counted)
-    series.gamma_series_pair(cfg, s, z, delta, delta, 6)
+    series_pair(cfg, s, z, delta, delta, 6)
     assert seen == [delta]
     seen.clear()
-    series.gamma_series_pair(cfg, s, z, delta, other, 6)
+    series_pair(cfg, s, z, delta, other, 6)
     assert seen == [delta, other]
 
 
@@ -487,18 +487,18 @@ def test_series_pair_error_precedence():
     z = (1.0, 1.0, 1.0, 0.1)
     good, bad, worse = (0.377, 0.211, 0.613), (1.0, 2.0, 3.0), (2.0, 2.0, 3.0)
     with pytest.raises(BadDimensions):
-        series.gamma_series_pair(cfg, s, (0.0, 1.0, 1.0, 0.1), bad, worse, 6)
+        series_pair(cfg, s, (0.0, 1.0, 1.0, 0.1), bad, worse, 6)
     with pytest.raises(BadDimensions):
-        series.gamma_series_pair(cfg, s, z, bad, (math.nan, 0.2, 0.6), 6)
+        series_pair(cfg, s, z, bad, (math.nan, 0.2, 0.6), 6)
     with pytest.raises(NonGenericParameter,
                        match=re.escape(f"delta={bad} ")) as plus:
-        series.gamma_series_pair(cfg, s, z, bad, worse, 6)
+        series_pair(cfg, s, z, bad, worse, 6)
     with pytest.raises(NonGenericParameter) as single:
         series.gamma_series(cfg, s, None, z, bad, 6)
     assert str(plus.value) == str(single.value)
     with pytest.raises(NonGenericParameter,
                        match=re.escape(f"delta={worse} ")) as minus:
-        series.gamma_series_pair(cfg, s, z, good, worse, 6)
+        series_pair(cfg, s, z, good, worse, 6)
     with pytest.raises(NonGenericParameter) as single:
         series.dual_gamma_series(cfg, s, None, z, worse, 6)
     assert str(minus.value) == str(single.value)

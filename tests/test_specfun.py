@@ -68,23 +68,6 @@ def test_pochhammer_finite_on_gamma_pole_with_integer_shift():
     assert specfun.pochhammer(-3, 2) == complex((-3) * (-2))
 
 
-def test_pochhammer_noninteger_shift_matches_gamma_ratio():
-    rng = random.Random(7)
-    for _ in range(50):
-        a = complex(rng.uniform(0.2, 4.0), rng.uniform(-1.0, 1.0))
-        b = complex(rng.uniform(0.1, 2.0) + 0.5, rng.uniform(-1.0, 1.0))
-        got = specfun.pochhammer(a, b)
-        want = complex(mpmath.gamma(a + b) / mpmath.gamma(a))
-        assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
-
-
-def test_pochhammer_noninteger_shift_raises_on_poles():
-    with pytest.raises(UndefinedRatio):
-        specfun.pochhammer(-1, 0.5 + 0j)
-    with pytest.raises(UndefinedRatio):
-        specfun.pochhammer(0.5, -0.5 - 1.0)
-
-
 def test_pochhammer_exact_is_rational():
     assert pochhammer_exact(Fraction(1, 3), 3) == \
         Fraction(1, 3) * Fraction(4, 3) * Fraction(7, 3)

@@ -127,7 +127,7 @@ def _ray_test_inputs(cfg, samples):
         except DegenerateLifting:
             continue
         found.setdefault(frozenset(s.indices for s in simplices), simplices)
-    table = triangulation._table(cfg).simplices
+    table = triangulation._simplices(cfg)
     inputs = []
     for simplices in found.values():
         extra = next(s for s in table if s not in simplices)
@@ -161,7 +161,7 @@ def test_ray_test_matches_sequential_oracle(name):
     # when a round holds rays beyond the first failing one
     cfg = config.get_config(name)
     assert triangulation._stacked_cones(
-        cfg, triangulation._table(cfg).simplices).dtype == np.int64
+        cfg, triangulation._simplices(cfg)).dtype == np.int64
     assert _ray_test_verdicts_checked_by_oracle(cfg, 60) == {True, False}
 
 
@@ -170,7 +170,7 @@ def test_ray_test_of_huge_volumes_takes_python_ints():
     cfg, _ = config.load_block_config_json(
         {"k": 1, "n": 1, "blocks": [[], [[0, 2 ** 70, 1]]]})
     assert triangulation._stacked_cones(
-        cfg, triangulation._table(cfg).simplices).dtype == object
+        cfg, triangulation._simplices(cfg)).dtype == object
     assert _ray_test_verdicts_checked_by_oracle(cfg, 20) == {True, False}
 
 
@@ -203,10 +203,11 @@ def test_lifting_test_matches_fraction_oracle(name):
 
 
 @pytest.mark.parametrize("name", config.registry_names())
-def test_table_matches_fresh_simplices(monkeypatch, name):
+def test_table_matches_fresh_simplices(name):
     # every nonsingular d-subset, in combinations order, equal to a simplex
     # built afresh, with the integer view computed when the table is built
-    monkeypatch.setattr(triangulation, "_tables", {})
+    triangulation._simplices.cache_clear()
+    triangulation.normalized_volume.cache_clear()
     cfg = config.get_config(name)
     fresh = []
     for sigma in combinations(range(1, cfg.N + 1), cfg.d):
@@ -214,7 +215,7 @@ def test_table_matches_fresh_simplices(monkeypatch, name):
             fresh.append(triangulation.make_simplex(cfg, sigma))
         except SingularMatrix:
             continue
-    table = triangulation._table(cfg).simplices
+    table = triangulation._simplices(cfg)
     assert table == tuple(fresh)
     assert all("C_int" in vars(s) for s in table)
     assert [s.C_int.tolist() for s in table] \
@@ -223,13 +224,13 @@ def test_table_matches_fresh_simplices(monkeypatch, name):
 
 def test_sorting_a_raw_triangulation_leaves_the_table():
     cfg = config.get_config("e36")
-    before = triangulation._table(cfg).simplices
+    before = triangulation._simplices(cfg)
     omega = triangulation.enumerate_regular_triangulations(
         cfg, samples=1, seed=3)[0].omega
     raw = triangulation._triangulate_raw(cfg, omega)
     raw.sort(key=lambda s: s.indices, reverse=True)
     assert raw[0].indices > raw[-1].indices
-    assert triangulation._table(cfg).simplices == before
+    assert triangulation._simplices(cfg) == before
 
 
 @pytest.mark.parametrize("name", config.registry_names())
@@ -511,7 +512,7 @@ def test_table_simplex_views_are_exact_bit_for_bit(name):
     # adj A_sigma = det I exactly, and each float view is the correctly
     # rounded value of the exact rational reference, signed zeros included
     cfg = config.get_config(name)
-    for s in triangulation._table(cfg).simplices:
+    for s in triangulation._simplices(cfg):
         A = cfg.submatrix(s.indices)
         assert intlinalg.mat_mul([list(row) for row in s.adj], A) \
             == [[s.det * (i == j) for j in range(cfg.d)] for i in range(cfg.d)]
@@ -532,7 +533,7 @@ def test_series_views_equal_their_definitions(name):
     # the view a series pass reads, against the expression the genericity
     # scan computed before it was kept on the simplex, signed zeros included
     cfg = config.get_config(name)
-    simplices = list(triangulation._table(cfg).simplices)
+    simplices = list(triangulation._simplices(cfg))
     simplices.append(triangulation.make_simplex(
         config.build_cayley(1, 1, [[], [[0, 3, 1]]]), (1, 2)))
     for s in simplices:
@@ -542,17 +543,15 @@ def test_series_views_equal_their_definitions(name):
             == _bits(W.astype(float) @ s.C_float.T)
 
 
-def test_fan_scan_and_triangulate_leave_the_series_views_uncomputed(
-        monkeypatch, capsys):
+def test_fan_scan_and_triangulate_leave_the_series_views_uncomputed(capsys):
     # the views are lazy: commands that never sum a series never build them
-    monkeypatch.setattr(triangulation, "_tables", {})
+    triangulation._simplices.cache_clear()
+    triangulation.normalized_volume.cache_clear()
     for argv in (["fan-scan", "--config", "g1", "--samples", "20"],
                  ["fan-scan", "--config", "e36", "--samples", "3"],
                  ["triangulate", "--config", "gauss", "--omega", "7,1,2,5"]):
         assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    tables = list(triangulation._tables.values())
-    assert len(tables) == 3
-    for table in tables:
-        for s in table.simplices:
-            assert not set(_SERIES_VIEWS) & set(vars(s)), s.indices
+    for name in ("g1", "e36", "gauss"):
+        for s in triangulation._simplices(config.get_config(name)):
+            assert not set(_SERIES_VIEWS) & set(vars(s)), (name, s.indices)
