@@ -25,8 +25,7 @@ from .intersection import (RelationReport, TwistVector, case_names,
                            exact_coefficient_identity,
                            homology_intersection, matsumoto_ag,
                            matsumoto_confluent,
-                           period_relation_matrix_check,
-                           pochhammer_cycle_intersection, quadratic_lhs,
+                           period_relation_matrix_check, quadratic_lhs,
                            verify_case, zero_twist)
 
 __version__ = "0.1.0"

@@ -25,8 +25,9 @@ from .errors import (BadDimensions, DegenerateLifting, DegenerateParameter,
                      ScaleTooSmall, SineZero, SingularMatrix, UndefinedRatio,
                      ZeroDenominator)
 from .config import get_config, load_block_config_json, registry_names
-from .triangulation import (enumerate_ladders, enumerate_regular_triangulations,
-                            ladder_exponents, triangulate)
+from .triangulation import (_CELLS_MAX, enumerate_ladders,
+                            enumerate_regular_triangulations, ladder_exponents,
+                            triangulate)
 from .series import dual_gamma_series, gamma_series
 from .intersection import (case_names, exact_coefficient_identity,
                            verify_case)
@@ -110,7 +111,7 @@ def _ints(text):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
-def _tri_payload(cfg, tri):
+def _tri_payload(tri):
     return {
         "simplices": [list(s.indices) for s in tri.simplices],
         "volumes": [abs(s.det) for s in tri.simplices],
@@ -126,7 +127,7 @@ def _cmd_triangulate(args):
     if len(omega) != cfg.N:
         raise ValueError(f"omega needs {cfg.N} entries, got {len(omega)}")
     tri = triangulate(cfg, list(omega), seed=args.seed)
-    _emit({"config": cfg.name, **_tri_payload(cfg, tri)}, args.out)
+    _emit({"config": cfg.name, **_tri_payload(tri)}, args.out)
     return EXIT_OK
 
 
@@ -138,7 +139,7 @@ def _cmd_fan_scan(args):
         "config": cfg.name,
         "samples": args.samples,
         "count": len(tris),
-        "triangulations": [_tri_payload(cfg, t) for t in tris],
+        "triangulations": [_tri_payload(t) for t in tris],
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -160,6 +161,10 @@ def _cmd_ladders(args):
                                 f"got {len(ct)}")
         if not all(math.isfinite(x) for x in ct):
             raise BadDimensions("ctilde needs finite entries")
+        if len(ladders) * args.n * (args.k + 1) > _CELLS_MAX:
+            raise BadDimensions(f"{len(ladders) * args.n} cells of "
+                                f"{args.k + 1} ctilde terms each exceed "
+                                f"{_CELLS_MAX} terms")
         payload["exponents"] = [
             {f"{i},{j}": v for (i, j), v in
              ladder_exponents(lad, ct, confluent=args.confluent).items()}

@@ -56,11 +56,6 @@ def _freeze(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def check_full_lattice(matrix):
-    """True iff the columns span Z^d, i.e. the lattice index is 1."""
-    return intlinalg.lattice_index(matrix) == 1
-
-
 def build_cayley(k, n, block_matrices, name=""):
     """Assemble the (n+k) x N Cayley-type matrix from exponent blocks.
 
@@ -97,7 +92,7 @@ def build_cayley(k, n, block_matrices, name=""):
         blocks.append(tuple(range(pos, pos + w)))
         pos += w
     cfg = Config(matrix=_freeze(rows), blocks=tuple(blocks), name=name)
-    if not check_full_lattice(cfg.matrix):
+    if intlinalg.lattice_index(cfg.matrix) != 1:
         raise LatticeNotFull("columns do not span the full lattice")
     return cfg
 

@@ -21,14 +21,14 @@ and kept by functools.cache: every nonsingular d-subset as a Simplex
 and the normalized volume; the first simplex's C_int decides whether the
 configuration is homogeneous.  A secondary-fan scan validates each distinct
 index set once, and a triangulation given by explicit index sets is built
-and validated once per (configuration, index sets, seed).
+and validated once per (configuration, index sets).
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (BadDimensions, DegenerateLifting, ExhaustedRetries,
                      NotATriangulation, SingularMatrix)
 from . import intlinalg
 
-_LADDERS_MAX = 100_000   # ladders one enumerate_ladders call may list
+_CELLS_MAX = 2_000_000   # ladder cells one call lists, ctilde terms it sums
 _LAMBDA_MAX = 420_000    # the largest entry of a random ray lambda
 _SAMPLES_MAX = 100_000   # liftings one secondary-fan scan may draw
 
@@ -268,19 +268,18 @@ def triangulate(cfg, omega, seed=0):
     return _validated(cfg, _triangulate_raw(cfg, omega), omega, seed)
 
 
-def triangulation_from_simplices(cfg, index_sets, seed=0):
+def triangulation_from_simplices(cfg, index_sets):
     """Build a Triangulation from explicit index sets (e.g. a staircase
     triangulation known in closed form); validated like triangulate.  The
     result is kept, so equal index sets in any order give the same object."""
     key = tuple(sorted(tuple(sorted(s)) for s in index_sets))
-    return _from_simplices(cfg, key, seed)
+    return _from_simplices(cfg, key)
 
 
 @cache
-def _from_simplices(cfg, index_sets, seed):
+def _from_simplices(cfg, index_sets):
     # a raised NotATriangulation is not cached: the next call raises again
-    return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], (),
-                      seed)
+    return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], (), 0)
 
 
 def enumerate_regular_triangulations(cfg, samples=500, seed=0):
@@ -321,33 +320,34 @@ def enumerate_regular_triangulations(cfg, samples=500, seed=0):
 def enumerate_ladders(k, n):
     """All monotone staircase paths from (k, k+1) to (0, n): each step
     decrements i or increments j by one.  The ambient index set is
-    {0..k} x {k+1..n}; there are C(n-1, k) ladders.  Raises BadDimensions
-    beyond _LADDERS_MAX."""
+    {0..k} x {k+1..n}; there are C(n-1, k) ladders of n cells each.  A
+    ladder is fixed by the k columns j at which it steps down a row; listing
+    those in combinations order puts a decrement before an increment at the
+    first step where two ladders differ.  The ladders share one tuple per
+    cell.  Raises BadDimensions beyond _CELLS_MAX cells in all."""
     if not 0 <= k < n:
         raise BadDimensions(f"need 0 <= k < n, got k={k}, n={n}")
-    if math.comb(n - 1, k) > _LADDERS_MAX:
-        raise BadDimensions(f"C({n - 1}, {k}) = {math.comb(n - 1, k)} "
-                            f"ladders exceed {_LADDERS_MAX}")
+    # C(n-1, min(k, n-1-k, 21)) is exact below the cap and > 10^12 at it, so
+    # the test builds no huge integer (C(2*10^6, 10^6) takes half a minute)
+    if math.comb(n - 1, min(k, n - 1 - k, 21)) * n > _CELLS_MAX:
+        raise BadDimensions(f"C({n - 1}, {k}) ladders of {n} cells exceed "
+                            f"{_CELLS_MAX} cells")
+    grid = [[(i, j) for j in range(k + 1, n + 1)] for i in range(k + 1)]
     out = []
-
-    def walk(path):
-        i, j = path[-1]
-        if (i, j) == (0, n):
-            out.append(tuple(path))
-            return
-        if i > 0:
-            walk(path + [(i - 1, j)])
-        if j < n:
-            walk(path + [(i, j + 1)])
-
-    walk([(k, k + 1)])
+    for steps in combinations_with_replacement(range(k + 1, n + 1), k):
+        cols = (k + 1, *steps, n)       # row k - m runs over cols[m..m+1]
+        ladder = []
+        for m in range(k + 1):
+            ladder += grid[k - m][cols[m] - k - 1:cols[m + 1] - k]
+        out.append(tuple(ladder))
     return out
 
 
 def ladder_exponents(ladder, ctilde, confluent=False):
     """Exponent map (i,j) -> v_{ij} from the spanning-tree formula: remove
     the edge (i,j) from the ladder's tree (vertices 0..n) and sum ctilde
-    over the component of j.
+    over the component of j.  The components of one ladder in {0..k} x
+    {k+1..n} hold n(k+1) vertices: one per cell, n more per row step.
 
     In the confluent case the ladder omits the (0, n) cell; the component is
     computed in the completed tree (with (0, n) restored) and vertex n is
@@ -391,13 +391,13 @@ def ladder_to_simplex(ladder, cfg):
     return tuple(sorted(pos[c] for c in cells))
 
 
-def staircase_triangulation(cfg, k, n, confluent=False):
+def staircase_triangulation(cfg):
     """The staircase triangulation of an Aomoto-Gelfand (or confluent)
-    configuration, as explicit ladder simplices."""
-    ladders = enumerate_ladders(k, n)
-    if confluent:
-        sets = [ladder_to_simplex([c for c in lad if c != (0, n)], cfg)
-                for lad in ladders]
-    else:
-        sets = [ladder_to_simplex(lad, cfg) for lad in ladders]
-    return triangulation_from_simplices(cfg, sets)
+    configuration, as explicit ladder simplices; k and n are the largest
+    labels i and j of its columns.  A confluent configuration lacks the
+    (0, n) column, which ladder_to_simplex leaves out."""
+    if cfg.pairs is None:
+        raise BadDimensions("configuration has no (i,j) column labels")
+    k, n = (max(labels) for labels in zip(*cfg.pairs))
+    return triangulation_from_simplices(
+        cfg, [ladder_to_simplex(lad, cfg) for lad in enumerate_ladders(k, n)])

@@ -5,7 +5,8 @@ determinant, the Pochhammer reflection identity, the Aomoto-Gelfand and
 confluent configurations built in the full basis e(0), ..., e(n), the
 lifting criterion in Fraction arithmetic, the secondary-fan scan with one
 validation per lifting, the random-ray test one ray and one simplex at a
-time, a recursive graded-lex enumerator, the Gamma-series summed one shell
+time, a recursive graded-lex enumerator, the recursive ladder walk and the
+staircase index sets built from it, the Gamma-series summed one shell
 at a time and the Gamma-series summed term by term in mpmath with exact
 Gamma arguments; and series_pair, the pair of series of one simplex read
 off the stacked series pass."""
@@ -130,6 +131,35 @@ def pair_config_oracle(k, n, confluent):
                    for b in [n if confluent else None, *range(k + 1, top + 1)])
     name = f"confluent({k},{n})" if confluent else f"ag({k},{n})"
     return matrix, blocks, tuple(pairs), name
+
+
+def ladders_recursive(k, n):
+    """The monotone staircase paths from (k, k+1) to (0, n), by a depth-first
+    walk that tries the decrement of i before the increment of j."""
+    out = []
+
+    def walk(path):
+        i, j = path[-1]
+        if (i, j) == (0, n):
+            out.append(tuple(path))
+            return
+        if i > 0:
+            walk(path + [(i - 1, j)])
+        if j < n:
+            walk(path + [(i, j + 1)])
+
+    walk([(k, k + 1)])
+    return out
+
+
+def staircase_index_sets(cfg, k, n, confluent):
+    """The 1-based column index sets of the ladders of ladders_recursive(k,
+    n) in cfg, whose column c carries the label cfg.pairs[c - 1]; a
+    confluent ladder leaves out its (0, n) cell."""
+    pos = {p: c + 1 for c, p in enumerate(cfg.pairs)}
+    return sorted(tuple(sorted(pos[c] for c in lad
+                               if not (confluent and c == (0, n))))
+                  for lad in ladders_recursive(k, n))
 
 
 def series_pair(cfg, simplex, z, delta_plus, delta_minus, M):

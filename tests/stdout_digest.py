@@ -5,7 +5,9 @@ Prints one line per argv, `sha256  argv`, the sha256 of the JSON array
 for every case at seeds 0-19 and at orders 0, 2, 8 and 10^20, report, the
 series command on gauss and on both cosets of g1's volume-2 simplex (with
 and without --dual, and with a non-generic delta, a divergent z and a zero
-z), and a 100-sample fan-scan of each small configuration.
+z), a 100-sample fan-scan and one triangulate of each small configuration,
+and ladders at (k, n) = (2, 5), (3, 7) and (0, 500), each with and without
+--ctilde and --confluent.
 
 All argv run in one process, in list order and then in reverse; the script
 exits 1 if any argv prints other bytes the second time, so no output may
@@ -29,6 +31,15 @@ from gkzeuler.intersection import case_names
 _SMALL_CONFIGS = ("g1", "gamma2", "h4", "f1", "phi1", "gauss", "kummer")
 _GAUSS = "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613"
 _G1 = "series --config g1 --sigma 2,3,4 --delta 0.3,0.2,0.6"
+# a lifting per small configuration, each generic for its configuration
+_OMEGA = {"g1": "1,11,12,4,10", "gamma2": "1,11,12,4", "h4": "1,11,12,4,10",
+          "f1": "1,11,12,4,10,7", "phi1": "2,11,3,9,5", "gauss": "1,11,12,4",
+          "kummer": "1,11,12"}
+
+
+def _ctilde(size):
+    return ",".join(f"{0.1 * (1 + (7 * l) % 11) - 0.55:.2f}"
+                    for l in range(size))
 
 
 def argvs():
@@ -50,6 +61,13 @@ def argvs():
     ]
     out += [f"fan-scan --config {name} --samples 100"
             for name in _SMALL_CONFIGS]
+    out += [f"triangulate --config {name} --omega {_OMEGA[name]}"
+            for name in _SMALL_CONFIGS]
+    for k, n in ((2, 5), (3, 7), (0, 500)):
+        out += [f"ladders --k {k} --n {n}",
+                f"ladders --k {k} --n {n} --confluent",
+                f"ladders --k {k} --n {n} --ctilde={_ctilde(n + 1)}",
+                f"ladders --k {k} --n {n} --confluent --ctilde={_ctilde(n)}"]
     return out
 
 

@@ -167,9 +167,8 @@ def _sorted_multiset(vectors):
     return sorted(tuple(sorted(v)) for v in vectors)
 
 
-def _staircase_exponent_vectors(cfg, delta, confluent):
-    tri = triangulation.staircase_triangulation(cfg, 2, 5,
-                                                confluent=confluent)
+def _staircase_exponent_vectors(cfg, delta):
+    tri = triangulation.staircase_triangulation(cfg)
     out = []
     for s in tri.simplices:
         out.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
@@ -182,7 +181,7 @@ def test_staircase_exponent_vectors_match_reference_e36():
     cfg = config.get_config("e36")
     c1, c2, c3, c4, c5 = (Fraction(p, 101) for p in (13, 17, 23, 31, 41))
     c0 = c3 + c4 + c5 - c1 - c2
-    got = _staircase_exponent_vectors(cfg, [c3, c4, c5, c1, c2], False)
+    got = _staircase_exponent_vectors(cfg, [c3, c4, c5, c1, c2])
     reference = [
         (-c3, -c4, c0 + c1 - c5, -c1, -c0),
         (-c3, -c2 + c3, -c0 - c1 + c5, c0 - c5, -c0),
@@ -198,7 +197,7 @@ def test_staircase_exponent_vectors_match_reference_e36c():
     cfg = config.get_config("e36c")
     c1, c2, c3, c4 = (Fraction(p, 101) for p in (13, 17, 23, 31))
     c0 = c3 + c4 - c1 - c2
-    got = _staircase_exponent_vectors(cfg, [c3, c4, c1, c2], True)
+    got = _staircase_exponent_vectors(cfg, [c3, c4, c1, c2])
     reference = [
         (-c3, -c4, c0 + c1, -c1),
         (-c3, -c2 + c3, -c0 - c1, c0),
@@ -303,7 +302,7 @@ def test_period_relation_matrix_e24():
         rng.choice(4, size=2, replace=False)
     z = intersection._ag_grid_z(
         cfg, [[intersection._uniform(rng, 0.04, 0.08)]])
-    tri = triangulation.staircase_triangulation(cfg, 1, 3)
+    tri = triangulation.staircase_triangulation(cfg)
     worst = intersection.period_relation_matrix_check(
         cfg, tri, delta, [(0, 1), (0, 2)], z, 40)
     assert worst < 1e-8, worst

@@ -194,6 +194,20 @@ def test_bad_input_exits_two(capsys, tmp_path, argv):
     "verify --case e36 --order 400",
     # C(59, 30) = 5.9 * 10^16 ladders
     "ladders --k 30 --n 60",
+    # one ladder of 10^9 cells
+    "ladders --k 0 --n 1000000000",
+    # C(447, 2) = 99,681 ladders, under 100,000, but 4.5 * 10^7 cells
+    "ladders --k 2 --n 448",
+    # one column of 1,415 cells, each summing 1,415 ctilde entries
+    pytest.param("ladders --k 1414 --n 1415 --ctilde="
+                 + ",".join(["0.5"] * 1416),
+                 id="ladders --k 1414 --n 1415 --ctilde=0.5,...,0.5"),
+    # one column of 50,000 cells: 2.5 * 10^9 ctilde terms
+    pytest.param("ladders --k 49999 --n 50000 --ctilde="
+                 + ",".join(["0"] * 50001),
+                 id="ladders --k 49999 --n 50000 --ctilde=0,...,0"),
+    # C(1999999, 10^6) alone takes half a minute to compute
+    "ladders --k 1000000 --n 2000000",
     # C(1502, 2) = 1,127,251 exponent vectors, beyond the 2^20 row bound
     "series --config g1 --sigma 2,3,4 --kvec 1,0 --delta 0.3,0.2,0.6 "
     "--z 1,1,1,1,0.1 --order 1500",
@@ -210,6 +224,33 @@ def test_oversized_enumerations_exit_two_promptly(capsys, argv):
     assert code == cli.EXIT_BAD_INPUT and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
     assert elapsed < 1.0
+
+
+def test_one_long_ladder_runs(capsys):
+    # 1,000 cells: a walk with one call per cell would pass the default
+    # recursion limit
+    code, out = _run(capsys, ["ladders", "--k", "0", "--n", "1000"])
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["count"] == 1
+    assert doc["ladders"] == [[[0, j] for j in range(1, 1001)]]
+
+
+def test_one_long_column_runs_promptly(capsys):
+    # 200,000 cells in one column; a grid over all of {0..k} x {0..n}
+    # would hold 4 * 10^10 cells
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["ladders", "--k", "199999", "--n", "200000"])
+    assert code == cli.EXIT_OK and time.perf_counter() - t0 < 10.0
+    assert json.loads(out)["ladders"][0][-1] == [0, 200000]
+
+
+def test_exponents_at_the_term_bound_run(capsys):
+    # one column of 1,414 cells sums 1,999,396 ctilde entries, in bound
+    code, out = _run(capsys, ["ladders", "--k", "1413", "--n", "1414",
+                              "--ctilde=" + ",".join(["0.5"] * 1415)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["exponents"][0]["0,1414"] == 0.5 * 1414
 
 
 def test_series_below_the_row_bound_runs(capsys):
@@ -557,14 +598,19 @@ def _argv(draw):
     elif command == "fan-scan":
         args = [f"--config={name}", f"--samples={draw(small)}"]
     elif command == "ladders":
-        n = draw(st.integers(1, 5))
-        k = draw(st.integers(0, n))
+        n = draw(st.one_of(st.integers(1, 5),
+                           st.sampled_from([999, 1000, 10 ** 9])))
+        # k = 0 and k = n - 1 give one ladder of n cells
+        k = draw(st.one_of(st.sampled_from([0, n - 1, n]), st.integers(0, n)))
         confluent = draw(st.booleans())
         args = [f"--k={k}", f"--n={n}"] + (["--confluent"] if confluent
                                            else [])
         if draw(st.booleans()):
-            args.append(
-                f"--ctilde={draw(_numbers(n if confluent else n + 1, plain))}")
+            # at most 6 entries: a --ctilde is drawn whole for n <= 5 only,
+            # as a strategy cannot draw 1,000 entries; at n >= 999 it has
+            # the wrong length and exits 2 after the ladders are listed
+            size = min(n if confluent else n + 1, 6)
+            args.append(f"--ctilde={draw(_numbers(size, plain))}")
     elif command == "series":
         args = [f"--config={name}", f"--sigma={draw(_sigma(d, N, plain))}",
                 f"--delta={draw(_numbers(d, plain))}",

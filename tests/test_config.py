@@ -29,7 +29,7 @@ def test_registry_shapes_and_blocks(name):
         assert all((row[j - 1] == 1) == (j in cfg.blocks[l])
                    for j in range(1, cfg.N + 1))
     # columns span the full lattice
-    assert config.check_full_lattice(cfg.matrix)
+    assert intlinalg.lattice_index(cfg.matrix) == 1
 
 
 def test_get_config_unknown_name():

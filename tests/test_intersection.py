@@ -8,8 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import (gauss_relation_residual, kummer_relation_residual,
                      series_pair)
 
@@ -17,21 +15,6 @@ from gkzeuler import config, intersection, series, triangulation
 from gkzeuler.errors import (BadDimensions, DivergentTail,
                              NonGenericParameter, NotUnimodular, SineZero,
                              ZeroDenominator)
-
-_params = st.floats(min_value=0.07, max_value=0.93,
-                    allow_nan=False, allow_infinity=False)
-
-
-@given(st.lists(_params, min_size=1, max_size=5))
-@settings(max_examples=100, deadline=None)
-def test_pochhammer_cycle_intersection_is_a_sine_product(alphas):
-    got = intersection.pochhammer_cycle_intersection(alphas)
-    a0 = -sum(alphas)
-    want = (2j) ** (len(alphas) + 1)
-    want *= cmath.exp(-1j * math.pi * (a0 + sum(alphas)))
-    for a in [a0] + alphas:
-        want *= cmath.sin(math.pi * a)
-    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 def test_hankel_intersection_value():

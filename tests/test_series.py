@@ -525,7 +525,7 @@ def test_dual_series_sign_flip_rule_on_confluent_grid():
     # the plain series with delta negated and the exponential-block
     # coordinates of z negated
     cfg = config.get_config("e36c")
-    tri = triangulation.staircase_triangulation(cfg, 2, 5, confluent=True)
+    tri = triangulation.staircase_triangulation(cfg)
     delta = [0.23, 0.31, 0.13, 0.17]
     z1, z2, z3, z4 = 0.05, 0.045, 0.055, 0.06
     zmap = {(0, 3): 1.0, (0, 4): 1.0,

@@ -13,7 +13,8 @@ from gkzeuler import cli, config, intersection, intlinalg, triangulation
 from gkzeuler.errors import (BadDimensions, DegenerateLifting,
                              ExhaustedRetries, NotATriangulation,
                              SingularMatrix)
-from oracles import ray_test_sequential, regular_cells, scan_by_triangulate
+from oracles import (ladders_recursive, ray_test_sequential, regular_cells,
+                     scan_by_triangulate, staircase_index_sets)
 
 
 def _sets(tri):
@@ -73,7 +74,7 @@ def test_triangulation_from_simplices_rejects_overlap():
 
 def _confluent_staircase_gap():
     cfg = config.get_config("e36c")
-    tri = triangulation.staircase_triangulation(cfg, 2, 5, confluent=True)
+    tri = triangulation.staircase_triangulation(cfg)
     return [s.indices for s in tri.simplices[1:]]
 
 
@@ -273,7 +274,7 @@ def test_scan_validates_each_index_set_once(monkeypatch, name):
 
 def test_explicit_triangulation_is_built_once():
     cfg = config.get_config("e36")
-    tri = triangulation.staircase_triangulation(cfg, 2, 5)
+    tri = triangulation.staircase_triangulation(cfg)
     permuted = [tuple(reversed(s.indices)) for s in reversed(tri.simplices)]
     assert triangulation.triangulation_from_simplices(cfg, permuted) is tri
 
@@ -362,10 +363,53 @@ def test_enumerate_ladders_rejects_bad_input():
         triangulation.enumerate_ladders(3, 3)
 
 
+def test_enumerate_ladders_matches_the_recursive_walk():
+    for n in range(1, 14):
+        for k in range(n):
+            assert triangulation.enumerate_ladders(k, n) \
+                == ladders_recursive(k, n), (k, n)
+
+
+def test_enumerate_ladders_bounds_cells_not_ladders():
+    # one ladder of 2,000 cells is within the bound; 1,399 ladders of 1,400
+    # cells (1,958,600) are too, 1,415 of 1,416 (2,003,640) are not
+    assert triangulation.enumerate_ladders(0, 2000)[0][-1] == (0, 2000)
+    assert len(triangulation.enumerate_ladders(1, 1400)) == 1399
+    # one column of 200,000 cells: a grid over all of {0..k} x {0..n} would
+    # hold 4 * 10^10 cells
+    lad, = triangulation.enumerate_ladders(199_999, 200_000)
+    assert lad == tuple((i, 200_000) for i in range(199_999, -1, -1))
+    for k, n in [(1, 1416), (2, 448), (0, 2_000_001), (10 ** 6, 2 * 10 ** 6),
+                 (5, 10 ** 100)]:
+        with pytest.raises(BadDimensions):
+            triangulation.enumerate_ladders(k, n)
+
+
+@pytest.mark.parametrize("confluent", [False, True])
+def test_staircase_reads_k_and_n_off_the_configuration(monkeypatch,
+                                                       confluent):
+    # every Aomoto-Gelfand and confluent (k, n) with n <= 7: the index sets
+    # handed on for validation are the ladders of the explicit (k, n)
+    monkeypatch.setattr(triangulation, "triangulation_from_simplices",
+                        lambda cfg, sets: sorted(sets))
+    build = config.confluent_config if confluent \
+        else config.aomoto_gelfand_config
+    for n in range(2, 8):
+        for k in range(1, n - 1 if confluent else n):
+            cfg = build(k, n)
+            assert triangulation.staircase_triangulation(cfg) \
+                == staircase_index_sets(cfg, k, n, confluent), (k, n)
+
+
+def test_staircase_needs_column_labels():
+    with pytest.raises(BadDimensions):
+        triangulation.staircase_triangulation(config.get_config("g1"))
+
+
 @pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 4), (2, 5)])
 def test_staircase_is_a_unimodular_triangulation(k, n):
     cfg = config.aomoto_gelfand_config(k, n)
-    tri = triangulation.staircase_triangulation(cfg, k, n)
+    tri = triangulation.staircase_triangulation(cfg)
     assert len(tri.simplices) == math.comb(n - 1, k)
     assert tri.unimodular
 
@@ -373,7 +417,7 @@ def test_staircase_is_a_unimodular_triangulation(k, n):
 @pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5)])
 def test_confluent_staircase_is_a_triangulation(k, n):
     cfg = config.confluent_config(k, n)
-    tri = triangulation.staircase_triangulation(cfg, k, n, confluent=True)
+    tri = triangulation.staircase_triangulation(cfg)
     assert len(tri.simplices) == math.comb(n - 1, k)
     assert tri.unimodular
 
@@ -411,6 +455,15 @@ def test_confluent_ladder_exponent_formula_matches_exact_inverse(k, n):
         assert v == [ex[cfg.pairs[j - 1]] for j in s.indices]
 
 
+def test_ladder_components_hold_n_times_k_plus_one_vertices():
+    # the count the ladders command bounds before it sums ctilde
+    for n in range(1, 10):
+        for k in range(n):
+            for lad in triangulation.enumerate_ladders(k, n):
+                ex = triangulation.ladder_exponents(lad, [1] * (n + 1))
+                assert sum(ex.values()) == n * (k + 1), (k, n, lad)
+
+
 def _sorted_multiset(vectors):
     return sorted(tuple(sorted(v)) for v in vectors)
 
@@ -430,7 +483,7 @@ def test_e36_staircase_exponent_vectors_match_reference():
         (-c2, c2 - c3, c0 - c4 - c5, c5 - c0, -c5),
         (-c2, -c1, -c0 + c4 + c5, -c4, -c5),
     ]
-    tri = triangulation.staircase_triangulation(cfg, 2, 5)
+    tri = triangulation.staircase_triangulation(cfg)
     got = []
     for s in tri.simplices:
         got.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
@@ -452,7 +505,7 @@ def test_e36c_staircase_exponent_vectors_match_reference():
         (-c2, c2 - c3, c0 - c4, -c0),
         (-c2, -c1, -c0 + c4, -c4),
     ]
-    tri = triangulation.staircase_triangulation(cfg, 2, 5, confluent=True)
+    tri = triangulation.staircase_triangulation(cfg)
     got = []
     for s in tri.simplices:
         got.append(tuple(-sum(Fraction(s.adj[r][c], s.det) * delta[c]
@@ -463,7 +516,7 @@ def test_e36c_staircase_exponent_vectors_match_reference():
 def test_triangulation_to_json_shape():
     cfg = config.get_config("gamma2")
     tri = triangulation.triangulate(cfg, [7, 1, 2, 5])
-    doc = cli._tri_payload(cfg, tri)
+    doc = cli._tri_payload(tri)
     assert doc["omega"] == [7, 1, 2, 5]
     assert all(isinstance(s, list) for s in doc["simplices"])
     assert {"convergent", "unimodular"} <= set(doc)
@@ -472,9 +525,7 @@ def test_triangulation_to_json_shape():
 def _registry_triangulation(name):
     cfg = config.get_config(name)
     if name in ("gauss", "e36", "kummer", "e36c"):
-        k, n = (1, 3) if name in ("gauss", "kummer") else (2, 5)
-        return cfg, triangulation.staircase_triangulation(
-            cfg, k, n, confluent=name in ("kummer", "e36c"))
+        return cfg, triangulation.staircase_triangulation(cfg)
     tris = triangulation.enumerate_regular_triangulations(cfg, samples=4,
                                                           seed=0)
     assert tris, name
