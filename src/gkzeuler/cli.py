@@ -151,7 +151,7 @@ def _cmd_ladders(args):
         "k": args.k,
         "n": args.n,
         "count": len(ladders),
-        "ladders": [[list(p) for p in lad] for lad in ladders],
+        "ladders": ladders,
     }
     if args.ctilde:
         ct = _floats(args.ctilde)

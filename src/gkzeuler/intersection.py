@@ -20,8 +20,8 @@ from .errors import (DegenerateParameter, DivergentTail, NotConvergent,
 from .config import aomoto_gelfand_config, confluent_config, get_config
 from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
-from .series import (_as_simplex, gamma_series_pairs, transformation_matrix,
-                     transformation_matrix_dual)
+from .series import (_as_simplex, _gamma0, gamma_series_pairs,
+                     transformation_matrix, transformation_matrix_dual)
 from .specfun import pochhammer, sin_pi_product
 
 _TWO_PI_I = 2j * math.pi
@@ -34,28 +34,24 @@ def hankel_intersection(gamma0):
 
 
 def homology_intersection(cfg, sigma, delta):
-    """<Gamma_{sigma,0}, dual Gamma_{sigma,0}>_h for a unimodular simplex."""
+    """<Gamma_{sigma,0}, dual Gamma_{sigma,0}>_h for a unimodular simplex:
+    one product of hankel_intersection factors, each 1 - e^{2 pi i x} taken
+    as hankel_intersection(-x)."""
     simplex = _as_simplex(cfg, sigma)
     if abs(simplex.det) != 1:
         raise NotUnimodular(f"sigma={simplex.indices} has |det|="
                             f"{abs(simplex.det)}")
     rows = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    val = 1.0 + 0j
+    xs = [rows[p] for p in simplex.pos0]
+    if len(xs) > 1:
+        gamma0 = _gamma0(simplex, delta)
+        xs += [gamma0, -gamma0]
     for l in range(1, cfg.k + 1):
-        if len(simplex.blocks[l]) <= 1:
-            continue
-        val *= 1.0 - cmath.exp(_TWO_PI_I * complex(delta[l - 1]))
-        for p, j in enumerate(simplex.indices):
-            if j in simplex.blocks[l]:
-                val *= 1.0 - cmath.exp(-_TWO_PI_I * rows[p])
-    pos0 = simplex.pos0
-    for p in pos0:
-        val *= hankel_intersection(rows[p])
-    if len(pos0) > 1:
-        gamma0 = sum(rows[p] for p in pos0)
-        val *= hankel_intersection(gamma0)
-        val *= 1.0 - cmath.exp(_TWO_PI_I * gamma0)
-    return val
+        if len(simplex.blocks[l]) > 1:
+            xs += [-complex(delta[l - 1])] + [
+                rows[p] for p, j in enumerate(simplex.indices)
+                if j in simplex.blocks[l]]
+    return math.prod(map(hankel_intersection, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +186,12 @@ def assembled_weight(cfg, sigma, delta, twist):
     unimodular simplex times the prefactor it must agree with
     condensed_weight."""
     simplex = _as_simplex(cfg, sigma)
-    if abs(simplex.det) != 1:
-        raise NotUnimodular(f"sigma={simplex.indices}")
-    dplus, dminus = twisted_deltas(cfg, delta, twist)
-    t = transformation_matrix(cfg, simplex, dplus)[0][0]
-    td = transformation_matrix_dual(cfg, simplex, dminus)[0][0]
     h = homology_intersection(cfg, simplex, delta)
     if abs(h) == 0:
         raise DegenerateParameter("vanishing homology intersection number")
+    dplus, dminus = twisted_deltas(cfg, delta, twist)
+    t = transformation_matrix(cfg, simplex, dplus)[0][0]
+    td = transformation_matrix_dual(cfg, simplex, dminus)[0][0]
     return (_TWO_PI_I) ** (2 * cfg.d - cfg.n) * t * td / h
 
 

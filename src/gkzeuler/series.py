@@ -26,9 +26,9 @@ what delta and z change: the genericity checks, the prefactors and Gamma
 constants, the log-monomials, the log-Gamma call and the terms.  The shells
 and the layouts share one cache (_cache), bounded by the bytes of their
 arrays (_CACHE_BYTES) and evicted least recently used first.  All complex
-powers use the principal logarithm.  scipy.special (log-Gamma) is read
-through specfun._special, so it is imported by the first series evaluated,
-not by this module.
+powers use the principal logarithm.  The Gamma pole test (_poles) and
+scipy.special (_special, imported by the first series evaluated, not by
+this module) come from specfun, as gamma()'s do.
 """
 
 import cmath
@@ -42,7 +42,7 @@ from .errors import (BadDimensions, DivergentTail, GkzError,
                      NonGenericParameter, ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
-from .specfun import _POLE_TOL, _special, gamma
+from .specfun import _poles, _special, gamma
 from .triangulation import Simplex, make_simplex
 
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
@@ -439,14 +439,7 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
         part.log_gamma = log_gamma[a:a + n].reshape(len(part.jobs), -1)
         part.gamma_args(part.log_gamma)
         a += n
-    # the pole test, with one float array of scratch: |rint(x) - x| is
-    # |x - rint(x)| bit for bit
-    near = np.rint(log_gamma.real)
-    pole = near <= 0
-    near -= log_gamma.real
-    pole &= np.abs(near, out=near) <= _POLE_TOL
-    pole &= np.abs(log_gamma.imag, out=near) <= _POLE_TOL
-    del near
+    pole = _poles(log_gamma)
     log_gamma[pole] = 1.0
     _special().loggamma(log_gamma, out=log_gamma)
     a = 0
@@ -565,50 +558,38 @@ def sgn_A_sigma(cfg, sigma):
     return -1 if expo % 2 else 1
 
 
-def _sigma0_rowsum(simplex):
-    """sum_{i in sigma^(0)} e_i^T A_sigma^{-1} as a float row vector."""
-    return simplex.inv_float[simplex.pos0, :].sum(axis=0)
+def _gamma0(simplex, delta, kvec=None):
+    """gamma_0 = sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k),
+    k = 0 when kvec is None; the A_bar k part exact, as
+    sum_{i in sigma^(0)} (C_int k)_i / r."""
+    row = simplex.inv_float[simplex.pos0, :].sum(axis=0)
+    g = complex(row @ np.asarray([complex(x) for x in delta]))
+    if kvec is not None:
+        g += sum(intlinalg.mat_vec(simplex.C_int[simplex.pos0], kvec)) \
+            / simplex.r
+    return g
 
 
 def epsilon_sigma(cfg, sigma, delta, kvec=None):
-    """1 when |sigma^(0)| <= 1, else
-    1 - exp(-2 pi i sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k))."""
+    """1 when |sigma^(0)| <= 1, else 1 - exp(-2 pi i gamma_0), gamma_0 =
+    sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k) (_gamma0)."""
     simplex = _as_simplex(cfg, sigma)
     if len(simplex.blocks[0]) <= 1:
         return 1.0 + 0j
-    dvec = np.asarray([complex(x) for x in delta])
-    if kvec is not None and any(kvec):
-        Abar = np.array(cfg.submatrix(simplex.bar), dtype=float)
-        dvec = dvec + Abar @ np.asarray(kvec, dtype=float)
-    row = _sigma0_rowsum(simplex)
-    return 1.0 - cmath.exp(-2j * math.pi * complex(row @ dvec))
+    return 1.0 - cmath.exp(-2j * math.pi * _gamma0(simplex, delta, kvec))
 
 
-def _scalar_prefactor(cfg, simplex, delta, dual):
-    k = cfg.k
-    gam = [complex(delta[l]) for l in range(k)]
-    sgn = sgn_A_sigma(cfg, simplex)
-    num = complex(sgn)
+def _scalar_prefactor(cfg, simplex, delta):
+    num = complex(sgn_A_sigma(cfg, simplex))
     den = complex(simplex.det)
-    for l in range(1, k + 1):
-        g = gam[l - 1]
-        single = len(simplex.blocks[l]) == 1
-        if dual:
-            num *= cmath.exp(1j * math.pi * g) if single \
-                else cmath.exp(-1j * math.pi * (1 + g))
-            den *= gamma(-g)
-            if single:
-                den *= (1 - cmath.exp(2j * math.pi * g))
+    for l in range(1, cfg.k + 1):
+        g = complex(delta[l - 1])
+        den *= gamma(g)
+        if len(simplex.blocks[l]) == 1:
+            num *= cmath.exp(-1j * math.pi * g)
+            den *= 1 - cmath.exp(-2j * math.pi * g)
         else:
-            num *= cmath.exp(-1j * math.pi * g) if single \
-                else cmath.exp(-1j * math.pi * (1 - g))
-            den *= gamma(g)
-            if single:
-                den *= (1 - cmath.exp(-2j * math.pi * g))
-    if dual:
-        row = _sigma0_rowsum(simplex)
-        dvec = np.asarray([complex(x) for x in delta])
-        num *= cmath.exp(-1j * math.pi * complex(row @ dvec))
+            num *= cmath.exp(-1j * math.pi * (1 - g))
     return num / den
 
 
@@ -619,30 +600,34 @@ def transformation_matrix(cfg, sigma, delta):
 
 
 def transformation_matrix_dual(cfg, sigma, delta):
+    """T_sigma^vee(delta) = e^{-i pi gamma_0(delta)} T_sigma(-delta), gamma_0
+    at k = 0 (_gamma0); delta itself is checked very generic."""
     return _transformation(cfg, sigma, delta, dual=True)
 
 
 def _transformation(cfg, sigma, delta, dual):
+    """T_sigma(delta), or T_sigma^vee(delta) when dual.  Entry (i, j) is
+    scal e^{2 pi i k~_i . A_sigma^{-1} delta} X_ij epsilon_sigma(delta, k_j),
+    X_ij = e^{2 pi i (k~_i . C_int k_j mod r) / r} from exact integers."""
     simplex = _as_simplex(cfg, sigma)
     if not is_very_generic(simplex, delta):
         raise NonGenericParameter(
             f"delta={delta} is not very generic for sigma={simplex.indices}")
-    r, C = simplex.r, simplex.C_float
-    sign = 1 if simplex.det > 0 else -1
+    phase = cmath.exp(-1j * math.pi * _gamma0(simplex, delta)) if dual else 1
+    if dual:
+        delta = [-x for x in delta]
+    r = simplex.r
     kreps = intlinalg.coset_representatives(simplex.C_int, r)
-    # r A_sigma^{-T} = sign(det) adj^T
-    ktreps = intlinalg.coset_representatives(
-        [[sign * a for a in col] for col in zip(*simplex.adj)], r)
+    # the classes of r A_sigma^{-T} = +-adj^T: the sign leaves them alone
+    ktreps = intlinalg.coset_representatives(list(zip(*simplex.adj)), r)
     u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    sgn_phase = -1.0 if dual else 1.0
-    diag1 = [cmath.exp(sgn_phase * 2j * math.pi
-                       * complex(np.asarray(kt, dtype=float) @ u0))
-             for kt in ktreps]
-    X = [[cmath.exp(2j * math.pi
-                    * float(np.asarray(kt, dtype=float) @ (C @ np.asarray(kv, dtype=float))))
-          for kv in kreps] for kt in ktreps]
-    sdelta = [-x for x in delta] if dual else delta
-    diag2 = [epsilon_sigma(cfg, simplex, sdelta, kv) for kv in kreps]
-    scal = _scalar_prefactor(cfg, simplex, delta, dual)
-    return [[scal * diag1[i] * X[i][j] * diag2[j] for j in range(r)]
-            for i in range(r)]
+    diag1 = [cmath.exp(2j * math.pi * x)
+             for x in (np.array(ktreps, dtype=float) @ u0).tolist()]
+    # X_ij from k~_i . C_int k_j mod r, exact
+    K = np.array(ktreps, dtype=object) @ simplex.C_int \
+        @ np.array(kreps, dtype=object).T % r
+    diag2 = [epsilon_sigma(cfg, simplex, delta, kv) for kv in kreps]
+    scal = phase * _scalar_prefactor(cfg, simplex, delta)
+    return [[scal * d1 * cmath.exp(2j * math.pi * (x / r)) * d2
+             for x, d2 in zip(row, diag2)]
+            for d1, row in zip(diag1, K.tolist())]

@@ -11,6 +11,8 @@ rational identities) never load scipy.
 import cmath
 import math
 
+import numpy as np
+
 from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
 
 _POLE_TOL = 1e-12
@@ -23,17 +25,23 @@ def _special():
     return scipy.special
 
 
-def _is_nonpositive_integer(z):
-    z = complex(z)
-    n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= _POLE_TOL and abs(z.imag) <= _POLE_TOL
+def _poles(x):
+    """Whether each entry of the complex array x is within _POLE_TOL of a
+    Gamma pole, with one float array of scratch (|rint(x) - x| is
+    |x - rint(x)| bit for bit)."""
+    near = np.rint(x.real)
+    pole = near <= 0
+    near -= x.real
+    pole &= np.abs(near, out=near) <= _POLE_TOL
+    pole &= np.abs(x.imag, out=near) <= _POLE_TOL
+    return pole
 
 
 def gamma(z):
     """Gamma(z) for complex z.  Raises PoleAtNonpositiveInteger at the
     poles."""
     z = complex(z)
-    if _is_nonpositive_integer(z):
+    if _poles(np.array([z]))[0]:
         raise PoleAtNonpositiveInteger(f"Gamma pole at z={z}")
     return complex(_special().gamma(z))
 
@@ -42,13 +50,13 @@ def pochhammer(alpha, m):
     """(alpha)_m = Gamma(alpha + m) / Gamma(alpha) for an integer m, as a
     rising (or reciprocal falling) product (_rising), which stays finite
     when alpha sits on a Gamma pole but the ratio has a limit."""
-    return _rising(complex(alpha), m, 1.0 + 0j)
+    return _rising(complex(alpha), m)
 
 
-def _rising(a, m, one):
-    """(a)_m as a product from `one`: a(a+1)...(a+m-1) for m >= 0, else
+def _rising(a, m):
+    """(a)_m as a product from the int 1: a(a+1)...(a+m-1) for m >= 0, else
     1 / ((a-1)(a-2)...(a+m))."""
-    out = one
+    out = 1
     if m >= 0:
         for i in range(m):
             out *= a + i

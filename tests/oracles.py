@@ -72,7 +72,7 @@ def pochhammer_exact(alpha, m):
     """Exact rational rising product (alpha)_m for Fraction alpha and
     integer m (m may be negative), by the product specfun.pochhammer takes
     for an integer shift."""
-    return specfun._rising(Fraction(alpha), m, Fraction(1))
+    return specfun._rising(Fraction(alpha), m)
 
 
 def det_cofactor(M):

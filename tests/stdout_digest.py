@@ -6,8 +6,9 @@ for every case at seeds 0-19 and at orders 0, 2, 8 and 10^20, report, the
 series command on gauss and on both cosets of g1's volume-2 simplex (with
 and without --dual, and with a non-generic delta, a divergent z and a zero
 z), a 100-sample fan-scan and one triangulate of each small configuration,
-and ladders at (k, n) = (2, 5), (3, 7) and (0, 500), each with and without
---ctilde and --confluent.
+ladders at (k, n) = (2, 5), (3, 7) and (0, 500), each with and without
+--ctilde and --confluent, and identities at degree 20 for seeds 0 and 1
+(the exact-rational output).
 
 All argv run in one process, in list order and then in reverse; the script
 exits 1 if any argv prints other bytes the second time, so no output may
@@ -68,6 +69,7 @@ def argvs():
                 f"ladders --k {k} --n {n} --confluent",
                 f"ladders --k {k} --n {n} --ctilde={_ctilde(n + 1)}",
                 f"ladders --k {k} --n {n} --confluent --ctilde={_ctilde(n)}"]
+    out += [f"identities --degree 20 --seed {seed}" for seed in (0, 1)]
     return out
 
 

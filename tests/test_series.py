@@ -4,7 +4,9 @@ transformation matrices."""
 
 import cmath
 import dataclasses
+import json
 import math
+import pathlib
 import re
 import time
 
@@ -630,6 +632,42 @@ def test_transformation_matrix_rows_carry_the_dual_coset_phases():
     for i, kt in enumerate(reps):
         want = cmath.exp(2j * math.pi * sum(k * u for k, u in zip(kt, u0)))
         assert abs(T[i][0] / T[0][0] - want) <= 1e-12, (i, kt)
+
+
+# pinned entries of T_sigma and T_sigma^vee, one record per simplex and
+# delta: every simplex of g1 (r = 1 and 2; (1, 2, 3) is singular), of the
+# volume-three configuration (r = 1, 2, 3) and of "exp3", a k = 0
+# configuration whose sigma^(0) holds both columns of (1, 2) (r = 3) and of
+# (2, 3) (r = 2, det < 0), so epsilon_sigma and the dual sigma^(0) phase are
+# not 1; each at one real and one complex delta.  The values were computed
+# by the earlier derivation, which built the dual branch by branch and the
+# coset phases X_ij and A_bar k from float products
+_PIN_CONFIGS = {
+    "g1": lambda: config.get_config("g1"),
+    "volume3": lambda: _volume_three_simplex()[0],
+    "exp3": lambda: config.build_cayley(0, 2, [[[2, 1, 1], [1, 2, 0]]]),
+}
+_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "transformation_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _PINS, ids=lambda pin: "{}-{}-{}".format(
+    pin["config"], "".join(map(str, pin["sigma"])),
+    "complex" if any(im for _, im in pin["delta"]) else "real"))
+def test_transformation_matrices_match_their_pins(pin):
+    cfg = _PIN_CONFIGS[pin["config"]]()
+    s = triangulation.make_simplex(cfg, pin["sigma"])
+    assert s.r == pin["r"]
+    delta = [complex(*x) for x in pin["delta"]]
+    for key, fn in (("T", series.transformation_matrix),
+                    ("T_dual", series.transformation_matrix_dual)):
+        got = fn(cfg, s, delta)
+        want = [[complex(*x) for x in row] for row in pin[key]]
+        assert len(got) == len(want) == s.r
+        for i, (row, want_row) in enumerate(zip(got, want)):
+            assert len(row) == s.r
+            for j, (x, y) in enumerate(zip(row, want_row)):
+                assert abs(x - y) <= 1e-12 * abs(y), (key, i, j)
 
 
 def _pairs_bits(cfg, simplices, z, dplus, dminus, M):
