@@ -5,8 +5,10 @@ as two-element arrays [re, im]; integers too large for a double are encoded
 as decimal strings.  Given the same inputs and seed the output bytes are
 identical across runs.
 
-Exit codes: 0 success, 1 residual above tolerance, 2 bad input,
-3 degenerate or non-generic parameters, 4 numerical failure.
+Exit codes: 0 success and 1 residual above tolerance, from the command;
+else main reads the code and stderr label off the error's category
+(errors): 2 bad input (also KeyError, ValueError and OSError), 3 degenerate
+or non-generic parameters, 4 numerical failure (also OverflowError).
 """
 
 import argparse
@@ -18,12 +20,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .errors import (BadDimensions, DegenerateLifting, DegenerateParameter,
-                     DivergentTail, ExhaustedRetries, GkzError,
-                     LatticeNotFull, NonGenericParameter, NotATriangulation,
-                     NotConvergent, NotUnimodular, PoleAtNonpositiveInteger,
-                     ScaleTooSmall, SineZero, SingularMatrix, UndefinedRatio,
-                     ZeroDenominator)
+from .errors import (BadDimensions, BadInput, Degenerate, GkzError,
+                     NumericalFailure)
 from .config import get_config, load_block_config_json, registry_names
 from .triangulation import (_CELLS_MAX, enumerate_ladders,
                             enumerate_regular_triangulations, ladder_exponents,
@@ -34,48 +32,30 @@ from .intersection import (case_names, exact_coefficient_identity,
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
-EXIT_BAD_INPUT = 2
-EXIT_DEGENERATE = 3
-EXIT_NUMERIC = 4
+EXIT_BAD_INPUT = BadInput.exit_code
+EXIT_DEGENERATE = Degenerate.exit_code
+EXIT_NUMERIC = NumericalFailure.exit_code
 
 # the exact identities' cost grows steeply with the degree (Fractions of
 # growing size): the largest accepted degree takes about 0.5 s in a fresh
 # process on a 2-core host (degree 76: 0.47 s, 78: 0.51 s)
 _IDENTITIES_MAX_DEGREE = 76
 
-_BAD_INPUT = (BadDimensions, LatticeNotFull, NotATriangulation,
-              NotConvergent, NotUnimodular, SingularMatrix, KeyError,
-              ValueError, OSError)
-_DEGENERATE = (DegenerateLifting, DegenerateParameter, NonGenericParameter,
-               PoleAtNonpositiveInteger, SineZero, UndefinedRatio,
-               ZeroDenominator)
-_NUMERIC = (DivergentTail, ExhaustedRetries, ScaleTooSmall, OverflowError)
+
+def _int(n):
+    """n, or its decimal string when a double cannot hold it exactly."""
+    return n if abs(n) < 2 ** 53 else str(n)
 
 
-def _encode(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return obj if abs(obj) < 2 ** 53 else str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if obj is None:
-        return None
-    return str(obj)
+def _json(obj):
+    """What json cannot write itself: a complex as [re, im], else str(obj)."""
+    return [obj.real, obj.imag] if isinstance(obj, complex) else str(obj)
 
 
 def _emit(payload, out):
     try:
-        text = json.dumps(_encode(payload), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False) + "\n"
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_json) + "\n"
     except ValueError as exc:        # NaN and Infinity are not JSON
         raise OverflowError("a number of the output is not finite") from exc
     if out:
@@ -101,10 +81,7 @@ def _floats(text):
 
 
 def _complexes(text):
-    out = []
-    for part in text.split(","):
-        out.append(complex(part))
-    return tuple(out)
+    return tuple(complex(x) for x in text.split(","))
 
 
 def _ints(text):
@@ -114,19 +91,16 @@ def _ints(text):
 def _tri_payload(tri):
     return {
         "simplices": [list(s.indices) for s in tri.simplices],
-        "volumes": [abs(s.det) for s in tri.simplices],
+        "volumes": [_int(abs(s.det)) for s in tri.simplices],
         "convergent": tri.convergent,
         "unimodular": tri.unimodular,
-        "omega": list(tri.omega),
+        "omega": [_int(w) for w in tri.omega],
     }
 
 
 def _cmd_triangulate(args):
     cfg = _load_config(args)
-    omega = _ints(args.omega)
-    if len(omega) != cfg.N:
-        raise ValueError(f"omega needs {cfg.N} entries, got {len(omega)}")
-    tri = triangulate(cfg, list(omega), seed=args.seed)
+    tri = triangulate(cfg, list(_ints(args.omega)), seed=args.seed)
     _emit({"config": cfg.name, **_tri_payload(tri)}, args.out)
     return EXIT_OK
 
@@ -178,10 +152,6 @@ def _cmd_series(args):
     sigma = _ints(args.sigma)
     delta = _complexes(args.delta)
     z = _complexes(args.z)
-    if len(delta) != cfg.d:
-        raise ValueError(f"delta needs {cfg.d} entries")
-    if len(z) != cfg.N:
-        raise ValueError(f"z needs {cfg.N} entries")
     kvec = _ints(args.kvec) if args.kvec else None
     fn = dual_gamma_series if args.dual else gamma_series
     val = fn(cfg, sigma, kvec, z, delta, args.order)
@@ -199,25 +169,10 @@ def _cmd_series(args):
     return EXIT_OK if val.trusted else EXIT_NUMERIC
 
 
-def _verify_one(name, seed, order):
-    rep = verify_case(name, seed=seed, order=order)
-    return {
-        "case": rep.case,
-        "delta": list(rep.delta),
-        "z": [complex(x) for x in rep.z],
-        "order": rep.order,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "residual": rep.residual,
-        "tol": rep.tol,
-        "ok": rep.ok,
-    }
-
-
 def _cmd_verify(args):
-    rep = _verify_one(args.case, args.seed, args.order)
-    _emit(rep, args.out)
-    return EXIT_OK if rep["ok"] else EXIT_RESIDUAL
+    rep = verify_case(args.case, seed=args.seed, order=args.order)
+    _emit(vars(rep), args.out)
+    return EXIT_OK if rep.ok else EXIT_RESIDUAL
 
 
 def _cmd_identities(args):
@@ -226,28 +181,27 @@ def _cmd_identities(args):
                             f"{_IDENTITIES_MAX_DEGREE}")
     rng = random.Random(args.seed)
     rows = []
-    ok = True
     for n in range(1, args.degree + 1):
         a = Fraction(rng.randint(1, 40), 41)
         b = Fraction(rng.randint(1, 40), 43)
         g = Fraction(rng.randint(43, 80), 41)
         dg = exact_coefficient_identity("gauss", n, a, beta=b, gamma=g)
         dk = exact_coefficient_identity("kummer", n, a, gamma=g)
-        good = dg == 0 and dk == 0
-        ok = ok and good
         rows.append({"degree": n,
                      "alpha": str(a), "beta": str(b), "gamma": str(g),
                      "gauss_defect": str(dg), "kummer_defect": str(dk),
-                     "ok": good})
-    _emit({"seed": args.seed, "degree": args.degree, "ok": ok,
+                     "ok": dg == 0 and dk == 0})
+    ok = all(row["ok"] for row in rows)
+    _emit({"seed": _int(args.seed), "degree": _int(args.degree), "ok": ok,
            "identities": rows}, args.out)
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
 def _cmd_report(args):
-    reports = [_verify_one(n, args.seed, None) for n in case_names()]
-    ok = all(r["ok"] for r in reports)
-    _emit({"seed": args.seed, "ok": ok, "cases": reports}, args.out)
+    reports = [verify_case(n, seed=args.seed) for n in case_names()]
+    ok = all(r.ok for r in reports)
+    _emit({"seed": _int(args.seed), "ok": ok,
+           "cases": [vars(r) for r in reports]}, args.out)
     return EXIT_OK if ok else EXIT_RESIDUAL
 
 
@@ -321,18 +275,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DEGENERATE as exc:
-        print(f"degenerate parameters: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _NUMERIC as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _BAD_INPUT as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except GkzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except (GkzError, OverflowError, KeyError, ValueError, OSError) as exc:
+        kind = type(exc) if isinstance(exc, GkzError) else \
+            NumericalFailure if isinstance(exc, OverflowError) else BadInput
+        print(f"{kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 def entry():

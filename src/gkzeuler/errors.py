@@ -1,69 +1,88 @@
-"""Shared exception types for the toolkit."""
+"""Shared exception types for the toolkit.
+
+Each error derives from one of three categories, whose exit_code and label
+alone decide the CLI's exit code and stderr label (cli.main): BadInput (2,
+"bad input"), Degenerate (3, "degenerate parameters") and NumericalFailure
+(4, "numerical failure").  A bare GkzError exits 2 with "error".
+"""
 
 
 class GkzError(Exception):
     """Base class for all toolkit errors."""
+    exit_code, label = 2, "error"
 
 
-class SingularMatrix(GkzError):
+class BadInput(GkzError):
+    label = "bad input"
+
+
+class Degenerate(GkzError):
+    exit_code, label = 3, "degenerate parameters"
+
+
+class NumericalFailure(GkzError):
+    exit_code, label = 4, "numerical failure"
+
+
+class SingularMatrix(BadInput):
     pass
 
 
-class LatticeNotFull(GkzError):
+class LatticeNotFull(BadInput):
     pass
 
 
-class BadDimensions(GkzError):
+class BadDimensions(BadInput):
     pass
 
 
-class DegenerateLifting(GkzError):
+class NotATriangulation(BadInput):
     pass
 
 
-class NotATriangulation(GkzError):
+class NotConvergent(BadInput):
     pass
 
 
-class ExhaustedRetries(GkzError):
+class NotUnimodular(BadInput):
     pass
 
 
-class NonGenericParameter(GkzError):
+class DegenerateLifting(Degenerate):
     pass
 
 
-class DivergentTail(GkzError):
+class DegenerateParameter(Degenerate):
     pass
 
 
-class SineZero(GkzError):
+class NonGenericParameter(Degenerate):
     pass
 
 
-class NotUnimodular(GkzError):
+class PoleAtNonpositiveInteger(Degenerate):
     pass
 
 
-class NotConvergent(GkzError):
+class SineZero(Degenerate):
     pass
 
 
-class PoleAtNonpositiveInteger(GkzError):
+class UndefinedRatio(Degenerate):
     pass
 
 
-class UndefinedRatio(GkzError):
+class ZeroDenominator(Degenerate):
     pass
 
 
-class ZeroDenominator(GkzError):
+class DivergentTail(NumericalFailure):
     pass
 
 
-class DegenerateParameter(GkzError):
+class ExhaustedRetries(NumericalFailure):
     pass
 
 
-class ScaleTooSmall(GkzError):
+class ScaleTooSmall(NumericalFailure):
     pass

@@ -439,8 +439,8 @@ def verify_case(name, seed=0, order=None):
     rhs = complex(data["rhs"])
     residual = abs(lhs - rhs) / max(abs(rhs), 1.0)
     return RelationReport(case=name, delta=tuple(data["delta"]),
-                          z=tuple(data["z"]), order=M, lhs=lhs, rhs=rhs,
-                          residual=residual, tol=data["tol"],
+                          z=tuple(map(complex, data["z"])), order=M, lhs=lhs,
+                          rhs=rhs, residual=residual, tol=data["tol"],
                           ok=residual < data["tol"])
 
 

@@ -113,12 +113,15 @@ def graded_lex_shells(q, M):
     order; shell deg is W[bounds[deg]:bounds[deg + 1]].  Those of length k
     and degree deg are (deg - e, v), v of length k - 1 and degree e = 0..deg;
     each length is built in one array, all degrees at once.  Raises
-    BadDimensions beyond _ROWS_MAX rows."""
+    BadDimensions beyond _ROWS_MAX rows or, as q = 0 has one row at any M,
+    beyond _ROWS_MAX shells."""
     if M < 0:
         return np.zeros((0, q), dtype=np.int64), [0]
     if math.comb(M + q, q) > _ROWS_MAX:
         raise BadDimensions(f"{math.comb(M + q, q)} vectors of length {q} "
                             f"and degree <= {M} exceed {_ROWS_MAX}")
+    if M + 1 > _ROWS_MAX:       # q = 0, as C(M + q, q) >= M + 1
+        raise BadDimensions(f"order {M}: {M + 1} shells exceed {_ROWS_MAX}")
     rows = np.zeros((1, 0), dtype=np.int64)   # length 0: (), of degree 0
     degree = np.zeros(1, dtype=np.int64)      # the degree of each row
     counts = [1] + [0] * M                    # the rows of each degree

@@ -9,7 +9,7 @@ view and the row sums of log(w_i!); a coset filter masks all three.  Terms
 are evaluated in log-space over blocks of whole shells, and summed shell by
 shell with compensated accumulation, so results are deterministic.  The
 Gamma arguments of a term w are c - (C_int w) / r, with C_int w exact
-integers, read off a float product that is exact below _TABLE_MAX.  Each
+integers, read off a float product that is exact below _EXACT_MAX.  Each
 series tables its arguments at the integers of each K_i's range that its
 coset reaches (K_i = (C_int k)_i mod r, every r-th), and a pass takes the
 complex log-Gamma of the tables of all its series in one call; a term sums
@@ -46,7 +46,8 @@ from .specfun import _poles, _special, gamma
 from .triangulation import Simplex, make_simplex
 
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
-_TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass; keeps K exact in float
+_TABLE_MAX = 2 ** 22  # log-Gamma entries of one pass
+_EXACT_MAX = 2 ** 53  # bounds |C_int w|, so that K is exact in float
 _CACHE_BYTES = 2 ** 25  # bytes of arrays _cache may hold
 # what the pass of one simplex raises on its inputs and results; a stacked
 # pass returns it for that simplex (cmath.exp may overflow the prefactor)
@@ -236,22 +237,28 @@ class _Layout:
     computes them block by block (entries, dual_phases), as keeping them
     for the 20,475 rows of e36 at order 24 would hold megabytes.  Built
     from its key (_layout_key); raises BadDimensions, before it allocates
-    anything, for a table above _TABLE_MAX entries, counted over the whole
-    ranges in Python ints."""
+    anything, for a table above _TABLE_MAX entries or a range of K_i as
+    wide as _EXACT_MAX, both counted in Python ints."""
 
     def __init__(self, key):
         simplex, _, bar0, M, residues = key
         r, C = simplex.r, simplex.C_int
-        # as w >= 0 and |w| <= M, K_i lies in [lo_i, hi_i]; Python ints, so
-        # the bound holds exactly at any M
+        # as w >= 0 and |w| <= M, K_i and each partial sum of C_int w lie in
+        # [lo_i, hi_i], lo_i <= 0 <= hi_i; Python ints, so the bounds hold
+        # exactly at any M
         lo = [M * x for x in C.min(axis=1, initial=0).tolist()]
         hi = [M * x for x in C.max(axis=1, initial=0).tolist()]
-        size = sum(hi) - sum(lo) + len(lo)
+        first = [x + (t - x) % r for x, t in zip(lo, residues)]
+        size = sum((y - x) // r + 1 for x, y in zip(first, hi))
         if size > _TABLE_MAX:
             raise BadDimensions(f"order {M} at sigma={simplex.indices} needs "
                                 f"a log-Gamma table of {size} > "
                                 f"{_TABLE_MAX} entries")
-        first = [x + (t - x) % r for x, t in zip(lo, residues)]
+        # K, and K - first_i in [0, hi_i - lo_i], are exact in float
+        span = max(y - x for x, y in zip(lo, hi))
+        if span >= _EXACT_MAX:
+            raise BadDimensions(f"order {M} at sigma={simplex.indices} lets "
+                                f"C_int w span {span} >= {_EXACT_MAX}")
         K = [np.arange(x, y + 1, r, dtype=np.int64) for x, y in zip(first, hi)]
         self.sizes = np.array([len(k) for k in K])
         base = list(accumulate(self.sizes.tolist(), initial=0))
@@ -264,7 +271,7 @@ class _Layout:
         self.bar0 = list(bar0)
         # sum_{i in sigma^(0)} e_i^T C, for the dual phases
         self.srow = simplex.C_float[simplex.pos0, :].sum(axis=0)
-        self.C_int = C.astype(float)    # |K| < _TABLE_MAX: exact
+        self.C_int = C.astype(float)    # exact on each partial sum
         self.at = self.phases = None
 
     def entries(self, Wf):
@@ -384,7 +391,7 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
     call each, elementwise, so each series reads the values its own call
     would give.  A block of whole shells reads them at the entries
     (K_i - first_i) / r of K = C_int @ W^T, a float product that is exact
-    as every partial sum is an integer below _TABLE_MAX, and sums each
+    as every partial sum is an integer below _EXACT_MAX, and sums each
     term's d entries column by column in numpy's order (_rowsum).  The
     rows, their float view and the log-factorial sums come from the (q, M)
     shells in _cache.  Each simplex's table layout, and for a pass of one
@@ -404,6 +411,10 @@ def _sum_series(cfg, simplices, kvec, z, M, jobs):
                          "unimodular, with kvec None")
     q = len(simplices[0].bar)
     try:
+        if any(len(delta) != cfg.d for delta, _ in jobs):
+            raise BadDimensions(f"delta needs {cfg.d} entries")
+        if len(z) != cfg.N:
+            raise BadDimensions(f"z needs {cfg.N} entries")
         if M < 0:
             raise BadDimensions(f"order must be >= 0, got {M}")
         if kvec is not None and len(kvec) != q:

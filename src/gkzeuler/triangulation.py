@@ -125,7 +125,7 @@ def _triangulate_raw(cfg, omega):
     both sides are scaled by r so the test reads the integers C_int.  omega
     holds integers or rationals."""
     if len(omega) != cfg.N:
-        raise BadDimensions(f"omega length {len(omega)} != {cfg.N}")
+        raise BadDimensions(f"omega needs {cfg.N} entries, got {len(omega)}")
     out = []
     for s in _simplices(cfg):
         w_sigma = np.array([omega[i - 1] for i in s.indices], dtype=object)

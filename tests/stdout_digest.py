@@ -5,10 +5,15 @@ Prints one line per argv, `sha256  argv`, the sha256 of the JSON array
 for every case at seeds 0-19 and at orders 0, 2, 8 and 10^20, report, the
 series command on gauss and on both cosets of g1's volume-2 simplex (with
 and without --dual, and with a non-generic delta, a divergent z and a zero
-z), a 100-sample fan-scan and one triangulate of each small configuration,
-ladders at (k, n) = (2, 5), (3, 7) and (0, 500), each with and without
---ctilde and --confluent, and identities at degree 20 for seeds 0 and 1
-(the exact-rational output).
+z, and a z and a delta of the wrong length), a 100-sample fan-scan and one
+triangulate of each small configuration, ladders at (k, n) = (2, 5), (3, 7)
+and (0, 500), each with and without --ctilde and --confluent, and
+identities at degree 20 for seeds 0 and 1 (the exact-rational output).  It
+ends with an argv for each way main maps an error (a degenerate lifting, an
+omega of the wrong length, a non-integer omega, an unknown config and an
+exponent sum that overflows) and one for each integer the output writes as
+a decimal string (the report and identities seeds, a negative identities
+degree, and an omega entry above 2^53).
 
 All argv run in one process, in list order and then in reverse; the script
 exits 1 if any argv prints other bytes the second time, so no output may
@@ -59,6 +64,9 @@ def argvs():
         "series --config gauss --sigma 1,2,3 --delta 2,2,1 --z 1,1,1,0.21",
         f"{_GAUSS} --z 1,1,1,50",        # outside the convergence domain
         f"{_GAUSS} --z 0,1,1,0.21",      # z must lie in (C*)^N
+        f"{_GAUSS} --z 1,1,0.21",        # z and delta of the wrong length
+        "series --config gauss --sigma 1,2,3 --delta 0.377,0.211 "
+        "--z 1,1,1,0.21",
     ]
     out += [f"fan-scan --config {name} --samples 100"
             for name in _SMALL_CONFIGS]
@@ -70,6 +78,18 @@ def argvs():
                 f"ladders --k {k} --n {n} --ctilde={_ctilde(n + 1)}",
                 f"ladders --k {k} --n {n} --confluent --ctilde={_ctilde(n)}"]
     out += [f"identities --degree 20 --seed {seed}" for seed in (0, 1)]
+    out += [
+        # an error of each category and each builtin that main maps
+        "triangulate --config gamma2 --omega 0,0,0,0",   # degenerate
+        "triangulate --config gamma2 --omega 1,2",       # wrong length
+        "triangulate --config gamma2 --omega 1,2,x,4",   # ValueError
+        "fan-scan --config nosuch",                      # KeyError
+        "ladders --k 1 --n 3 --ctilde=1e308,1e308,1e308,1e308",  # overflow
+        # integers at or above 2^53, written as decimal strings
+        f"identities --degree -{10 ** 20} --seed {10 ** 20}",
+        f"report --seed {10 ** 20}",
+        f"triangulate --config gauss --omega 1,11,12,{4 * 10 ** 19}",
+    ]
     return out
 
 

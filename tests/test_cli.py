@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzeuler import cli
-from gkzeuler.config import get_config, registry_names
+from gkzeuler import cli, errors
+from gkzeuler.config import build_cayley, get_config, registry_names
 from gkzeuler.errors import ExhaustedRetries, UndefinedRatio
 from gkzeuler.intersection import case_names
+from gkzeuler.triangulation import make_simplex
+from oracles import series_by_direct_sum
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -164,10 +166,21 @@ def test_series_bad_sigma(capsys, sigma):
     "ladders --k 2 --n 5 --confluent --ctilde=1,2,3,4,5,6,7",
     "ladders --k 1 --n 3 --ctilde nan,1,2,3",
     "ladders --k 1 --n 3 --ctilde inf,1,2,3",
-    # the log-Gamma table of one series pass has a bounded size: the volume
-    # 10^6 simplex needs 8 * 10^6 + 2 entries at order 8
-    "series --config {huge} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
+    # the log-Gamma table of one series pass has a bounded size: the
+    # unimodular simplex (1, 2) of {long} needs 15,999,994 entries at order 8
+    "series --config {long} --sigma 1,2 --delta 0.3,0.2 --z 1,1,0.5 "
     "--order 8",
+    # the coset table of the volume 2^50 simplex (1, 2) of {wide} holds 10
+    # entries at order 9, but C_int w reaches 9 (2^50 - 1) >= 2^53, where a
+    # float is no longer exact
+    "series --config {wide} --sigma 1,2 --delta 0.3,5.3e14 --z 1,1,0.5 "
+    "--order 9",
+    # with no column outside sigma, one row of each degree: the M + 1
+    # shells are bounded too
+    "series --config {q0} --sigma 1,2 --delta 0.3,0.2 --z 1,1 "
+    "--order 100000000",
+    "series --config {q0} --sigma 1,2 --delta 0.3,0.2 --z 1,1 "
+    "--order 100000000000000000000",
     # so does a pass at an order beyond any machine integer, also in the
     # stacked pass of a relation
     "series --config gauss --sigma 1,2,3 --delta 0.377,0.211,0.613 "
@@ -178,14 +191,40 @@ def test_series_bad_sigma(capsys, sigma):
     "ladders --k 1 --n 3 --out {tmp}/missing/x.json",
 ])
 def test_bad_input_exits_two(capsys, tmp_path, argv):
-    huge = tmp_path / "huge.json"
-    huge.write_text(json.dumps({"k": 1, "n": 1,
-                                "blocks": [[], [[0, 10 ** 6, 1]]]}))
-    code = cli.main(argv.format(huge=huge, tmp=tmp_path).split())
+    configs = {"long": [[], [[0, 1, 10 ** 6]]], "q0": [[], [[0, 1]]],
+               "wide": [[], [[0, 2 ** 50, 1]]]}
+    for name, blocks in configs.items():
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"k": 1, "n": 1, "blocks": blocks}))
+    t0 = time.perf_counter()
+    code = cli.main(argv.format(tmp=tmp_path, **{
+        name: tmp_path / f"{name}.json" for name in configs}).split())
+    elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert code == cli.EXIT_BAD_INPUT
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("bad")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_series_at_volume_a_million_tables_its_coset_alone(capsys, tmp_path,
+                                                           dual):
+    # simplex (1, 2) has volume 10^6: its coset table holds the 9 entries
+    # its coset reaches at order 8, not the 8 * 10^6 + 2 of the whole ranges
+    blocks = [[], [[0, 10 ** 6, 1]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 1, "n": 1, "blocks": blocks}))
+    delta, z = [0.3, 0.2], [1.0, 1.0, 0.5]
+    code, out = _run(capsys, ["series", "--config", str(path), "--sigma",
+                              "1,2", "--delta", "0.3,0.2", "--z", "1,1,0.5",
+                              "--order", "8"] + ["--dual"] * dual)
+    assert code == cli.EXIT_OK
+    cfg = build_cayley(1, 1, blocks)
+    want = series_by_direct_sum(cfg, make_simplex(cfg, (1, 2)), None, z,
+                                delta, 8, dual)
+    got = complex(*json.loads(out)["value"])
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,12 +536,39 @@ def test_lattice_check_of_large_entries_ends_promptly(tmp_path):
         assert (answer[0], answer[2]) == (code, err), i
 
 
+# the exit code and stderr prefix of every error class main maps
+_EXIT_TABLE = [
+    (errors.BadDimensions, 2, "bad input"),
+    (errors.LatticeNotFull, 2, "bad input"),
+    (errors.NotATriangulation, 2, "bad input"),
+    (errors.NotConvergent, 2, "bad input"),
+    (errors.NotUnimodular, 2, "bad input"),
+    (errors.SingularMatrix, 2, "bad input"),
+    (KeyError, 2, "bad input"),
+    (ValueError, 2, "bad input"),
+    (OSError, 2, "bad input"),
+    (errors.DegenerateLifting, 3, "degenerate parameters"),
+    (errors.DegenerateParameter, 3, "degenerate parameters"),
+    (errors.NonGenericParameter, 3, "degenerate parameters"),
+    (errors.PoleAtNonpositiveInteger, 3, "degenerate parameters"),
+    (errors.SineZero, 3, "degenerate parameters"),
+    (errors.UndefinedRatio, 3, "degenerate parameters"),
+    (errors.ZeroDenominator, 3, "degenerate parameters"),
+    (errors.DivergentTail, 4, "numerical failure"),
+    (errors.ExhaustedRetries, 4, "numerical failure"),
+    (errors.ScaleTooSmall, 4, "numerical failure"),
+    (OverflowError, 4, "numerical failure"),
+    (errors.GkzError, 2, "error"),
+]
+
+
 @pytest.mark.parametrize("exc, code, prefix", [
     (ExhaustedRetries("no generic lifting found in 1000 tries"),
      cli.EXIT_NUMERIC, "numerical failure"),
     (UndefinedRatio("Gamma pole at alpha+beta=-2"),
      cli.EXIT_DEGENERATE, "degenerate parameters"),
-])
+] + [pytest.param(cls("a message"), code, prefix, id=cls.__name__)
+     for cls, code, prefix in _EXIT_TABLE])
 def test_exhausted_retries_and_undefined_ratio_exit_codes(capsys, monkeypatch,
                                                           exc, code, prefix):
     def fail(*args, **kwargs):
@@ -511,6 +577,15 @@ def test_exhausted_retries_and_undefined_ratio_exit_codes(capsys, monkeypatch,
     monkeypatch.setattr(cli, "enumerate_regular_triangulations", fail)
     assert _in_process(capsys, ["fan-scan", "--config", "g1"]) == \
         (code, "", f"{prefix}: {exc}\n")
+
+
+def test_exit_table_names_every_error_class():
+    # a new error class must take its exit code from a category in the table
+    def leaves(cls):
+        subs = cls.__subclasses__()
+        return set().union(*map(leaves, subs)) if subs else {cls}
+
+    assert leaves(errors.GkzError) <= {cls for cls, _, _ in _EXIT_TABLE}
 
 
 # runs each argv of sys.argv[1] through cli.main in order; prints, per argv,

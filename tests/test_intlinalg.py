@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import det_cofactor, graded_lex_recursive, split_shells
 
 from gkzeuler import intlinalg
-from gkzeuler.errors import ExhaustedRetries, SingularMatrix
+from gkzeuler.errors import BadDimensions, ExhaustedRetries, SingularMatrix
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -82,6 +82,15 @@ def test_graded_lex_shells_match_recursive_oracle():
                     list(graded_lex_recursive(q, deg)), (q, M, deg)
         W, bounds = intlinalg.graded_lex_shells(q, -1)
         assert W.shape == (0, q) and W.dtype == np.int64 and bounds == [0]
+
+
+def test_graded_lex_shells_bound_rows_and_shells():
+    # length 0 has one row at every degree, but M + 1 shells
+    W, bounds = intlinalg.graded_lex_shells(0, intlinalg._ROWS_MAX - 1)
+    assert W.shape == (1, 0) and len(bounds) == intlinalg._ROWS_MAX + 1
+    for q, M in ((0, intlinalg._ROWS_MAX), (0, 10 ** 20), (2, 1500)):
+        with pytest.raises(BadDimensions):
+            intlinalg.graded_lex_shells(q, M)
 
 
 def test_coset_search_raises_when_classes_run_out():

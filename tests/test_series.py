@@ -481,6 +481,24 @@ def test_series_pair_checks_genericity_once_per_distinct_delta(monkeypatch):
     assert seen == [delta, other]
 
 
+@pytest.mark.parametrize("z, delta, message", [
+    ((1.0, 1.0, 0.1), (0.377, 0.211, 0.613), "z needs 4 entries"),
+    ((1.0, 1.0, 1.0, 0.1, 1.0), (0.377, 0.211, 0.613), "z needs 4 entries"),
+    ((1.0, 1.0, 1.0, 0.1), (0.377, 0.211), "delta needs 3 entries"),
+    ((1.0, 1.0, 1.0, 0.1), (0.377, 0.211, 0.613, 0.5),
+     "delta needs 3 entries"),
+    # delta is checked first
+    ((1.0, 1.0, 0.1), (0.377, 0.211), "delta needs 3 entries"),
+])
+def test_series_checks_the_lengths_of_z_and_delta(z, delta, message):
+    # a short z once ended in an IndexError, and a long one lost its extra
+    # entries without a word
+    cfg = config.get_config("gauss")
+    for fn in (series.gamma_series, series.dual_gamma_series):
+        with pytest.raises(BadDimensions, match=f"^{message}$"):
+            fn(cfg, (1, 2, 3), None, z, delta, 6)
+
+
 def test_series_pair_error_precedence():
     # input checks first, then delta+, then delta-; each message is the one
     # the single-series call raises
