@@ -100,7 +100,7 @@ def _tri_payload(tri):
 
 def _cmd_triangulate(args):
     cfg = _load_config(args)
-    tri = triangulate(cfg, list(_ints(args.omega)), seed=args.seed)
+    tri = triangulate(cfg, list(_ints(args.omega)))
     _emit({"config": cfg.name, **_tri_payload(tri)}, args.out)
     return EXIT_OK
 

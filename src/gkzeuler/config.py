@@ -150,8 +150,7 @@ def genericity_lattice(simplex):
 def is_very_generic(simplex, delta):
     """Bounded check that A_sigma^{-1}(delta + A_{sigma-bar} m) has no entry
     within 1e-9 of an integer for all m >= 0 with |m| <= GENERICITY_DEGREE."""
-    u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
-    ent = u0[None, :] + simplex.genericity_lattice
+    ent = simplex.coords(delta)[None, :] + simplex.genericity_lattice
     return not ((np.abs(ent.real - ent.real.round()) < 1e-9)
                 & (np.abs(ent.imag) < 1e-9)).any()
 

@@ -41,7 +41,7 @@ def homology_intersection(cfg, sigma, delta):
     if abs(simplex.det) != 1:
         raise NotUnimodular(f"sigma={simplex.indices} has |det|="
                             f"{abs(simplex.det)}")
-    rows = simplex.inv_float @ np.asarray([complex(x) for x in delta])
+    rows = simplex.coords(delta)
     xs = [rows[p] for p in simplex.pos0]
     if len(xs) > 1:
         gamma0 = _gamma0(simplex, delta)
@@ -172,7 +172,7 @@ def quadratic_prefactor(cfg, delta, twist):
 def condensed_weight(cfg, sigma, delta):
     """pi^d / prod sin(pi * A_sigma^{-1} delta)."""
     simplex = _as_simplex(cfg, sigma)
-    v = simplex.inv_float @ np.asarray([complex(x) for x in delta])
+    v = simplex.coords(delta)
     return math.pi ** cfg.d / sin_pi_product(list(v))
 
 

@@ -1,12 +1,12 @@
 """Exact integer linear algebra.
 
-Matrices are plain lists of lists (row-major) of Python ints, which are
-arbitrary precision, so no intermediate swell can overflow.  One
-fraction-free elimination (adjugate) gives the determinant, the adjugate
-and, as Fractions adj / det, the inverse; one column reduction
-(lattice_index) gives the index of the lattice spanned by the columns.  The
-vectors of Z_{>=0}^q up to a degree are one int64 array in graded-lex order
-with its shell bounds (graded_lex_shells).
+Entries are Python ints, which are arbitrary precision, so no swell can
+overflow; products are taken over numpy object arrays.  One fraction-free
+elimination (adjugate) gives the determinant, the adjugate and, as
+Fractions adj / det, the inverse; one column reduction (lattice_index)
+gives the index of the lattice spanned by the columns.  The vectors of
+Z_{>=0}^q up to a degree are one int64 array in graded-lex order with its
+shell bounds (graded_lex_shells).
 """
 
 import math
@@ -17,26 +17,6 @@ import numpy as np
 from .errors import BadDimensions, ExhaustedRetries, SingularMatrix
 
 _ROWS_MAX = 2 ** 20   # rows of one graded-lex array
-
-
-def shape(M):
-    return len(M), len(M[0]) if len(M) else 0
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, m = shape(A)
-    m2, p = shape(B)
-    assert m == m2, "dimension mismatch"
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(p)]
-            for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
 def lattice_index(M):
@@ -68,9 +48,9 @@ def adjugate(M):
     M^{-1}, by one fraction-free (Bareiss) Gauss-Jordan elimination of
     [M | I]: every division is exact, so every entry stays an integer.
     Raises SingularMatrix when det M = 0."""
-    n, m = shape(M)
-    assert n == m, "adjugate needs a square matrix"
-    A = [list(row) + e for row, e in zip(M, identity(n))]
+    n = len(M)
+    assert all(len(row) == n for row in M), "adjugate needs a square matrix"
+    A = [list(row) + e for row, e in zip(M, np.eye(n, dtype=int).tolist())]
     sign = 1
     prev = 1
     for k in range(n):
@@ -155,7 +135,7 @@ def coset_representatives(M, r):
     both have r classes.  Each class is hit by small k, so the search stops
     after a few degrees; it raises ExhaustedRetries if it does not.
     """
-    q = shape(M)[1]
+    M = np.array(M, dtype=object)
     reps = []
     seen = set()
     degree = 0
@@ -163,8 +143,8 @@ def coset_representatives(M, r):
         if degree > 4 * r + 4:
             raise ExhaustedRetries(
                 f"coset search found {len(reps)} of {r} classes")
-        for k in graded_lex_vectors(q, degree):
-            residue = tuple(x % r for x in mat_vec(M, list(k)))
+        for k in graded_lex_vectors(M.shape[1], degree):
+            residue = tuple((M @ np.array(k, dtype=object) % r).tolist())
             if residue not in seen:
                 seen.add(residue)
                 reps.append(list(k))

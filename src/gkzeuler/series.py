@@ -61,7 +61,6 @@ class SeriesValue:
     terms_summed: int
     last_shell_max: float
     shell_maxes: tuple      # max |term| per shell (diagnostic)
-    exponent: tuple         # prefactor exponent on z_sigma, aligned with sigma
     series_abs: float       # |sum of the terms|, before the z_sigma prefactor
 
     @property
@@ -199,12 +198,10 @@ class _Job:
     arguments and the prefactor z_sigma^(-+u0)."""
 
     def __init__(self, simplex, logz_sigma, delta, dual):
-        u0 = (simplex.inv_float     # A_sigma^{-1} delta
-              @ np.asarray([complex(x) for x in delta])[:, None]).ravel()
+        u0 = simplex.coords(delta)
         sign = 1.0 if dual else -1.0
         self.dual = dual
         self.c = 1.0 + u0 if dual else 1.0 - u0
-        self.exponent = tuple(sign * u0)
         self.log_prefactor = sign * complex(u0 @ logz_sigma)
 
     def result(self, sigma, M, total, shell_maxes, terms):
@@ -220,7 +217,7 @@ class _Job:
         return SeriesValue(value=value, order=M, terms_summed=terms,
                            last_shell_max=shell_maxes[-1],
                            shell_maxes=tuple(shell_maxes),
-                           exponent=self.exponent, series_abs=abs(total))
+                           series_abs=abs(total))
 
 
 class _Layout:
@@ -573,11 +570,10 @@ def _gamma0(simplex, delta, kvec=None):
     """gamma_0 = sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k),
     k = 0 when kvec is None; the A_bar k part exact, as
     sum_{i in sigma^(0)} (C_int k)_i / r."""
-    row = simplex.inv_float[simplex.pos0, :].sum(axis=0)
-    g = complex(row @ np.asarray([complex(x) for x in delta]))
+    g = complex(simplex.coords(delta)[simplex.pos0].sum())
     if kvec is not None:
-        g += sum(intlinalg.mat_vec(simplex.C_int[simplex.pos0], kvec)) \
-            / simplex.r
+        g += (simplex.C_int[simplex.pos0]
+              @ np.array(kvec, dtype=object)).sum() / simplex.r
     return g
 
 
@@ -631,7 +627,7 @@ def _transformation(cfg, sigma, delta, dual):
     kreps = intlinalg.coset_representatives(simplex.C_int, r)
     # the classes of r A_sigma^{-T} = +-adj^T: the sign leaves them alone
     ktreps = intlinalg.coset_representatives(list(zip(*simplex.adj)), r)
-    u0 = simplex.inv_float @ np.asarray([complex(x) for x in delta])
+    u0 = simplex.coords(delta)
     diag1 = [cmath.exp(2j * math.pi * x)
              for x in (np.array(ktreps, dtype=float) @ u0).tolist()]
     # X_ij from k~_i . C_int k_j mod r, exact

@@ -65,12 +65,17 @@ class Simplex:
 
     @cached_property
     def inv_float(self):
-        """A_sigma^{-1} = sign(det) adj / r as a float array, the numeric
-        view every series and weight evaluation reads; each entry is one
-        correctly rounded division, and a zero entry is +0.0."""
+        """A_sigma^{-1} = sign(det) adj / r as a float array, read by coords;
+        each entry is one correctly rounded division, and a zero entry is
+        +0.0."""
         sign = 1 if self.det > 0 else -1
         return np.array([[sign * a / self.r for a in row]
                          for row in self.adj])
+
+    def coords(self, delta):
+        """A_sigma^{-1} delta as a complex array: the exponents every series,
+        sine weight and homology factor reads."""
+        return self.inv_float @ np.asarray([complex(x) for x in delta])
 
     @cached_property
     def C_float(self):
@@ -111,9 +116,8 @@ def make_simplex(cfg, indices):
     adj, det = intlinalg.adjugate(cfg.submatrix(indices))
     blocks = tuple(tuple(j for j in indices if j in blk) for blk in cfg.blocks)
     bar = tuple(j for j in range(1, cfg.N + 1) if j not in indices)
-    r_inv = adj if det > 0 else [[-a for a in row] for row in adj]
-    C_int = np.array(intlinalg.mat_mul(r_inv, cfg.submatrix(bar)),
-                     dtype=object)
+    C_int = (1 if det > 0 else -1) * np.array(adj, dtype=object) \
+        @ np.array(cfg.submatrix(bar), dtype=object)
     return Simplex(indices=indices, det=det,
                    adj=tuple(tuple(row) for row in adj), blocks=blocks,
                    bar=bar, C_int=C_int)
@@ -241,31 +245,32 @@ def is_unimodular(simplices):
     return all(s.r == 1 for s in simplices)
 
 
-def _validate(cfg, simplices, seed):
+def _validate(cfg, simplices):
     """Raise NotATriangulation unless the simplices pass the volume sum (for
-    a homogeneous configuration) and the random-ray multiplicity test."""
+    a homogeneous configuration) and the random-ray multiplicity test, its
+    rays drawn from random.Random(0)."""
     if is_homogeneous(cfg):
         vol = sum(s.r for s in simplices)
         if vol != normalized_volume(cfg):
             raise NotATriangulation(
                 f"volume sum {vol} != normalized volume "
                 f"{normalized_volume(cfg)}")
-    if not _ray_test(cfg, simplices, random.Random(seed)):
+    if not _ray_test(cfg, simplices, random.Random(0)):
         raise NotATriangulation("random-ray multiplicity test failed")
 
 
-def _validated(cfg, simplices, omega, seed):
+def _validated(cfg, simplices, omega):
     """The simplices sorted by indices, validated and classified."""
     simplices = sorted(simplices, key=lambda s: s.indices)
-    _validate(cfg, simplices, seed)
+    _validate(cfg, simplices)
     return Triangulation(simplices=tuple(simplices), omega=tuple(omega),
                          convergent=is_convergent(simplices),
                          unimodular=is_unimodular(simplices))
 
 
-def triangulate(cfg, omega, seed=0):
+def triangulate(cfg, omega):
     """Regular triangulation T(omega), validated."""
-    return _validated(cfg, _triangulate_raw(cfg, omega), omega, seed)
+    return _validated(cfg, _triangulate_raw(cfg, omega), omega)
 
 
 def triangulation_from_simplices(cfg, index_sets):
@@ -279,16 +284,16 @@ def triangulation_from_simplices(cfg, index_sets):
 @cache
 def _from_simplices(cfg, index_sets):
     # a raised NotATriangulation is not cached: the next call raises again
-    return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], (), 0)
+    return _validated(cfg, [make_simplex(cfg, s) for s in index_sets], ())
 
 
 def enumerate_regular_triangulations(cfg, samples=500, seed=0):
     """Sampling-based scan of the secondary fan: the distinct T(omega) over
     random liftings, in discovery order, each with the first omega that gave
     it.  Not guaranteed exhaustive.  Each distinct index set is validated
-    once; the verdict is the same every time, because _validate draws its
-    rays from a fixed seed.  Raises BadDimensions beyond _SAMPLES_MAX
-    samples."""
+    once; the verdict is the same every time, and the same as triangulate's,
+    because _validate draws its rays from a fixed seed.  Raises
+    BadDimensions beyond _SAMPLES_MAX samples."""
     if samples < 1:
         raise BadDimensions(f"need at least 1 sample, got {samples}")
     if samples > _SAMPLES_MAX:
@@ -305,7 +310,7 @@ def enumerate_regular_triangulations(cfg, samples=500, seed=0):
         if key in verdicts:
             continue
         try:
-            verdicts[key] = _validated(cfg, simplices, omega, 0)
+            verdicts[key] = _validated(cfg, simplices, omega)
         except NotATriangulation:
             # liftings outside the support of the secondary fan (possible
             # for non-homogeneous configurations) do not subdivide cone(A)

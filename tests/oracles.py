@@ -185,7 +185,8 @@ def regular_cells(cfg, omega):
             inv, _ = intlinalg.rat_inverse(cfg.submatrix(sigma))
         except SingularMatrix:
             continue
-        m = intlinalg.mat_vec(list(zip(*inv)), [omega[i - 1] for i in sigma])
+        m = np.array(inv, dtype=object).T \
+            @ np.array([omega[i - 1] for i in sigma], dtype=object)
         for j in range(1, cfg.N + 1):
             if j in sigma:
                 continue
@@ -259,6 +260,23 @@ def graded_lex_recursive(dim, degree):
     for first in range(degree, -1, -1):
         for rest in graded_lex_recursive(dim - 1, degree - first):
             yield (first,) + rest
+
+
+def coset_representatives_by_search(M, r):
+    """The first r distinct residues (M k) mod r over k in
+    graded_lex_recursive order, degree 0 to 4 r + 4, each with the first k
+    that gives it; raises ExhaustedRetries when fewer than r appear."""
+    reps, seen = [], set()
+    for degree in range(4 * r + 5):
+        for k in graded_lex_recursive(len(M[0]), degree):
+            residue = tuple(sum(a * b for a, b in zip(row, k)) % r
+                            for row in M)
+            if residue not in seen:
+                seen.add(residue)
+                reps.append(list(k))
+                if len(reps) == r:
+                    return reps
+    raise ExhaustedRetries(f"found {len(reps)} of {r} classes")
 
 
 def split_shells(W, bounds):
@@ -338,7 +356,8 @@ def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in simplex.indices]
     q, d = len(sigma_bar), cfg.d
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(simplex.indices))
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    C = np.array(inv, dtype=object) \
+        @ np.array(cfg.submatrix(sigma_bar), dtype=object)
     kvec = list(kvec) if kvec is not None else [0] * q
     bar0 = [p for p, j in enumerate(sigma_bar) if j in cfg.blocks[0]]
     idx0 = [i for i, j in enumerate(simplex.indices) if j in cfg.blocks[0]]
@@ -355,9 +374,10 @@ def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
             if sum(w) > M:
                 continue
             m = [wi - ki for wi, ki in zip(w, kvec)]
-            if any(x.denominator != 1 for x in intlinalg.mat_vec(C, m)):
+            if any(x.denominator != 1
+                   for x in C @ np.array(m, dtype=object)):
                 continue
-            cw = intlinalg.mat_vec(C, list(w))
+            cw = C @ np.array(w, dtype=object)
             term = mpmath.mpc(1)
             for p, j in enumerate(sigma_bar):
                 term *= mpmath.power(zc[j - 1], w[p]) / mpmath.factorial(w[p])

@@ -6,9 +6,10 @@ for every case at seeds 0-19 and at orders 0, 2, 8 and 10^20, report, the
 series command on gauss and on both cosets of g1's volume-2 simplex (with
 and without --dual, and with a non-generic delta, a divergent z and a zero
 z, and a z and a delta of the wrong length), a 100-sample fan-scan and one
-triangulate of each small configuration, ladders at (k, n) = (2, 5), (3, 7)
-and (0, 500), each with and without --ctilde and --confluent, and
-identities at degree 20 for seeds 0 and 1 (the exact-rational output).  It
+triangulate of each small configuration (and the same triangulate at
+--seed 7), ladders at (k, n) = (2, 5), (3, 7) and (0, 500), each with and
+without --ctilde and --confluent, and identities at degree 20 for seeds 0
+and 1 (the exact-rational output).  It
 ends with an argv for each way main maps an error (a degenerate lifting, an
 omega of the wrong length, a non-integer omega, an unknown config and an
 exponent sum that overflows) and one for each integer the output writes as
@@ -71,6 +72,9 @@ def argvs():
     out += [f"fan-scan --config {name} --samples 100"
             for name in _SMALL_CONFIGS]
     out += [f"triangulate --config {name} --omega {_OMEGA[name]}"
+            for name in _SMALL_CONFIGS]
+    # --seed is accepted and leaves the output alone
+    out += [f"triangulate --config {name} --omega {_OMEGA[name]} --seed 7"
             for name in _SMALL_CONFIGS]
     for k, n in ((2, 5), (3, 7), (0, 500)):
         out += [f"ladders --k {k} --n {n}",

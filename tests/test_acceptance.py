@@ -217,7 +217,8 @@ def test_lattice_coset_partition_to_degree_twenty():
     assert s.r == 2
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    C = np.array(inv, dtype=object) \
+        @ np.array(cfg.submatrix(sigma_bar), dtype=object)
     kreps = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)
     q = cfg.N - cfg.d
@@ -280,14 +281,16 @@ def test_monodromy_weights_are_exact():
     s = triangulation.make_simplex(cfg, (2, 3, 4))
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    C = np.array(inv, dtype=object) \
+        @ np.array(cfg.submatrix(sigma_bar), dtype=object)
     kreps = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)
     for kvec in kreps:
         W, _ = series._coset_shells(s, kvec, 15)[:2]
         for w in W:
             m = [int(wi) - ki for wi, ki in zip(w, kvec)]
-            assert all(x.denominator == 1 for x in intlinalg.mat_vec(C, m))
+            assert all(x.denominator == 1
+                       for x in C @ np.array(m, dtype=object))
 
 
 # -- 11: full period matrix for the smallest hyperplane family ---------------

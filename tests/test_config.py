@@ -1,6 +1,7 @@
 """Configuration matrices: block structure, Cayley assembly, the built-in
 registry and genericity checking."""
 
+import numpy as np
 import pytest
 from oracles import pair_config_oracle
 
@@ -134,9 +135,8 @@ def test_is_very_generic_accepts_irrational_like_and_rejects_integral():
     assert config.is_very_generic(simplex, good)
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(list(sigma)))
     # delta = A_sigma * (integer vector) makes u0 integral
-    bad = intlinalg.mat_vec([[float(x) for x in row]
-                             for row in cfg.submatrix(list(sigma))],
-                            [1.0, 2.0, 3.0])
+    bad = (np.array(cfg.submatrix(list(sigma)), dtype=object)
+           @ np.array([1.0, 2.0, 3.0], dtype=object)).tolist()
     assert not config.is_very_generic(simplex, bad)
 
 

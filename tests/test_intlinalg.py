@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_cofactor, graded_lex_recursive, split_shells
+from oracles import (coset_representatives_by_search, det_cofactor,
+                     graded_lex_recursive, split_shells)
 
 from gkzeuler import intlinalg
 from gkzeuler.errors import BadDimensions, ExhaustedRetries, SingularMatrix
@@ -52,8 +53,10 @@ def test_rat_inverse_roundtrip(M):
         return
     inv, d = intlinalg.rat_inverse(M)
     assert d == det
-    prod = intlinalg.mat_mul(inv, [[Fraction(x) for x in row] for row in M])
-    assert prod == intlinalg.identity(n)
+    prod = np.array(inv, dtype=object) \
+        @ np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    assert prod.tolist() == [[int(i == j) for j in range(n)]
+                             for i in range(n)]
 
 
 def test_graded_lex_vectors_order_and_count():
@@ -98,3 +101,25 @@ def test_coset_search_raises_when_classes_run_out():
     # 2k mod 4 takes two of the four values, so a third class never appears
     with pytest.raises(ExhaustedRetries):
         intlinalg.coset_representatives([[2]], 4)
+
+
+# a d x q integer matrix, d in 1..3 and q in 0..3, and r in 1..6
+coset_inputs = st.tuples(st.integers(1, 3), st.integers(0, 3)).flatmap(
+    lambda dq: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=dq[1],
+                          max_size=dq[1]),
+                 min_size=dq[0], max_size=dq[0]),
+        st.integers(1, 6)))
+
+
+@given(coset_inputs)
+@settings(max_examples=60, deadline=None)
+def test_coset_search_takes_the_first_member_of_each_class(M_r):
+    M, r = M_r
+    try:
+        want = coset_representatives_by_search(M, r)
+    except ExhaustedRetries:
+        with pytest.raises(ExhaustedRetries):
+            intlinalg.coset_representatives(M, r)
+        return
+    assert intlinalg.coset_representatives(M, r) == want

@@ -9,6 +9,7 @@ import math
 import pathlib
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ def _coset_reps(cfg, s):
     """Representatives k of Z^d / Z A_sigma, read off A_sigma^{-1} A_bar."""
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    C = np.array(inv, dtype=object) \
+        @ np.array(cfg.submatrix(sigma_bar), dtype=object)
     return intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)
 
@@ -63,13 +65,14 @@ def test_lattice_shell_congruence_is_exact():
     s = _nonunimodular_simplex(cfg)
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
-    C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+    C = np.array(inv, dtype=object) \
+        @ np.array(cfg.submatrix(sigma_bar), dtype=object)
     kvec = intlinalg.coset_representatives(
         [[int(x * s.r) for x in row] for row in C], s.r)[1]
     W, _ = series._coset_shells(s, kvec, 12)[:2]
     for w in W:
         m = [int(wi) - ki for wi, ki in zip(w, kvec)]
-        img = intlinalg.mat_vec(C, m)
+        img = C @ np.array(m, dtype=object)
         assert all(x.denominator == 1 for x in img)
 
 
@@ -524,20 +527,23 @@ def test_series_pair_error_precedence():
     assert str(minus.value) == str(single.value)
 
 
-def test_series_exponent_is_signed_u0():
-    cfg = config.get_config("gauss")
-    sigma = (1, 2, 3)
-    delta = [0.377, 0.211, 0.613]
-    s = triangulation.make_simplex(cfg, sigma)
-    inv, _ = intlinalg.rat_inverse(cfg.submatrix(sigma))
-    u0 = [sum(float(inv[r][c]) * delta[c] for c in range(cfg.d))
-          for r in range(cfg.d)]
-    z = [1.0, 1.0, 1.0, 0.1]
-    g = series.gamma_series(cfg, sigma, None, z, delta, 6)
-    d = series.dual_gamma_series(cfg, sigma, None, z, delta, 6)
-    assert np.allclose([complex(x) for x in g.exponent],
-                       [-u for u in u0], atol=1e-12)
-    assert np.allclose([complex(x) for x in d.exponent], u0, atol=1e-12)
+def test_simplex_coords_are_the_exact_inverse_product():
+    # coords(delta) = A_sigma^{-1} delta, against the exact products of the
+    # Fractions of rat_inverse with the real and imaginary parts of delta
+    gauss = config.get_config("gauss")
+    for cfg, s, deltas in [
+            (gauss, triangulation.make_simplex(gauss, (1, 2, 3)),
+             ([0.377, 0.211, 0.613], [0.377 + 0.05j, 0.211, 0.613 - 0.02j])),
+            (*_volume_three_simplex(),
+             ([0.3137, 0.2719], [0.3137 + 0.05j, 0.2719 - 0.03j]))]:
+        inv = np.array(intlinalg.rat_inverse(cfg.submatrix(s.indices))[0],
+                       dtype=object)
+        for delta in deltas:
+            z = [complex(x) for x in delta]
+            re_ = inv @ np.array([Fraction(x.real) for x in z], dtype=object)
+            im = inv @ np.array([Fraction(x.imag) for x in z], dtype=object)
+            want = [complex(float(a), float(b)) for a, b in zip(re_, im)]
+            assert np.abs(s.coords(delta) - want).max() <= 1e-12, delta
 
 
 def test_dual_series_sign_flip_rule_on_confluent_grid():
@@ -635,13 +641,14 @@ def test_transformation_matrix_rows_carry_the_dual_coset_phases():
     cfg, s = _volume_three_simplex()
     delta = (0.3137 + 0.05j, 0.2719)
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
-    inv_t = [list(col) for col in zip(*inv)]
+    inv_t = np.array(inv, dtype=object).T
     reps = []
     degree = 0
     while len(reps) < s.r:
         for k in graded_lex_recursive(2, degree):
-            if all(any(x.denominator != 1 for x in intlinalg.mat_vec(
-                    inv_t, [a - b for a, b in zip(k, rep)])) for rep in reps):
+            if all(any(x.denominator != 1 for x in inv_t @ np.array(
+                    [a - b for a, b in zip(k, rep)], dtype=object))
+                   for rep in reps):
                 reps.append(k)
         degree += 1
     assert reps == [(0, 0), (1, 0), (0, 1)]

@@ -539,7 +539,8 @@ def test_simplex_view_matches_exact_products(name):
     for s in tri.simplices:
         sigma_bar = tuple(j for j in range(1, cfg.N + 1) if j not in s.indices)
         inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
-        C = intlinalg.mat_mul(inv, cfg.submatrix(sigma_bar))
+        C = np.array(inv, dtype=object) \
+            @ np.array(cfg.submatrix(sigma_bar), dtype=object)
         assert s.bar == sigma_bar
         assert all((x * s.det).denominator == 1 for row in C for x in row)
         assert s.C_int.tolist() == [[int(x * s.r) for x in row] for row in C]
@@ -547,8 +548,8 @@ def test_simplex_view_matches_exact_products(name):
         assert s.C_float.tolist() == [[float(x) for x in row] for row in C]
         assert [s.indices[p] for p in s.pos0] == list(s.blocks[0])
         convergent = convergent and all(
-            sum(intlinalg.mat_vec(inv,
-                                  [row[j - 1] for row in cfg.matrix])) <= 1
+            (np.array(inv, dtype=object) @ np.array(
+                [row[j - 1] for row in cfg.matrix], dtype=object)).sum() <= 1
             for j in sigma_bar)
     assert tri.convergent == convergent
 
@@ -565,11 +566,13 @@ def test_table_simplex_views_are_exact_bit_for_bit(name):
     cfg = config.get_config(name)
     for s in triangulation._simplices(cfg):
         A = cfg.submatrix(s.indices)
-        assert intlinalg.mat_mul([list(row) for row in s.adj], A) \
+        assert (np.array(s.adj, dtype=object)
+                @ np.array(A, dtype=object)).tolist() \
             == [[s.det * (i == j) for j in range(cfg.d)] for i in range(cfg.d)]
         inv, det = intlinalg.rat_inverse(A)
         assert det == s.det
-        C = intlinalg.mat_mul(inv, cfg.submatrix(s.bar))
+        C = np.array(inv, dtype=object) \
+            @ np.array(cfg.submatrix(s.bar), dtype=object)
         assert _bits(s.inv_float) \
             == _bits(np.array([[float(x) for x in row] for row in inv]))
         assert _bits(s.C_float) \
