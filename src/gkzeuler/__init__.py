@@ -18,12 +18,10 @@ from .triangulation import (Simplex, Triangulation,
                             make_simplex, normalized_volume,
                             staircase_triangulation, triangulate,
                             triangulation_from_simplices)
-from .series import (SeriesValue, dual_gamma_series, epsilon_sigma,
-                     gamma_series, sample_point_in_UT, sgn_A_sigma,
-                     transformation_matrix, transformation_matrix_dual)
+from .series import (SeriesValue, dual_gamma_series, gamma_series,
+                     sample_point_in_UT)
 from .intersection import (RelationReport, TwistVector, case_names,
-                           exact_coefficient_identity,
-                           homology_intersection, matsumoto_ag,
+                           exact_coefficient_identity, matsumoto_ag,
                            matsumoto_confluent,
                            period_relation_matrix_check, quadratic_lhs,
                            verify_case, zero_twist)

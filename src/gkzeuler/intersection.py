@@ -1,57 +1,29 @@
 """Intersection pairings and quadratic relations.
 
-This module computes homology intersection numbers of the cycle basis
-attached to a unimodular simplex, the closed-form cohomology intersection
-numbers of logarithmic forms in general position, and the resulting
-quadratic relations between a Gamma-series and its dual.  The ``verify``
+This module computes the closed-form cohomology intersection numbers of
+logarithmic forms in general position and the resulting quadratic
+relations between a Gamma-series and its dual.  The weight of each simplex
+in a relation is the condensed one, pi^d / prod sin(pi A_sigma^{-1} delta)
+(condensed_weight); the assembled route it condenses, from the
+transformation matrices T_sigma, T_sigma^vee and the homology intersection
+number, is the tests' cross-check (tests/oracles.py).  The ``verify``
 entry points evaluate both sides of a relation numerically and report the
 residual.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DegenerateParameter, DivergentTail, NotConvergent,
-                     NotUnimodular, ZeroDenominator)
+from .errors import (DivergentTail, NotConvergent, NotUnimodular,
+                     ZeroDenominator)
 from .config import aomoto_gelfand_config, confluent_config, get_config
 from .triangulation import (staircase_triangulation,
                             triangulation_from_simplices)
-from .series import (_as_simplex, _gamma0, gamma_series_pairs,
-                     transformation_matrix, transformation_matrix_dual)
+from .series import _as_simplex, gamma_series_pairs
 from .specfun import pochhammer, sin_pi_product
-
-_TWO_PI_I = 2j * math.pi
-
-
-def hankel_intersection(gamma0):
-    """Self-pairing factor contributed by an unbounded direction carrying
-    the exponential factor: 1 - e^{-2 pi i gamma0}."""
-    return 1.0 - cmath.exp(-_TWO_PI_I * complex(gamma0))
-
-
-def homology_intersection(cfg, sigma, delta):
-    """<Gamma_{sigma,0}, dual Gamma_{sigma,0}>_h for a unimodular simplex:
-    one product of hankel_intersection factors, each 1 - e^{2 pi i x} taken
-    as hankel_intersection(-x)."""
-    simplex = _as_simplex(cfg, sigma)
-    if abs(simplex.det) != 1:
-        raise NotUnimodular(f"sigma={simplex.indices} has |det|="
-                            f"{abs(simplex.det)}")
-    rows = simplex.coords(delta)
-    xs = [rows[p] for p in simplex.pos0]
-    if len(xs) > 1:
-        gamma0 = _gamma0(simplex, delta)
-        xs += [gamma0, -gamma0]
-    for l in range(1, cfg.k + 1):
-        if len(simplex.blocks[l]) > 1:
-            xs += [-complex(delta[l - 1])] + [
-                rows[p] for p, j in enumerate(simplex.indices)
-                if j in simplex.blocks[l]]
-    return math.prod(map(hankel_intersection, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +148,16 @@ def condensed_weight(cfg, sigma, delta):
     return math.pi ** cfg.d / sin_pi_product(list(v))
 
 
-def assembled_weight(cfg, sigma, delta, twist):
-    """The same per-simplex weight built from the transformation matrices
-    and the homology intersection number instead of the closed sine form:
-
-        (2 pi i)^{2 d - n} T_sigma(delta+) T_sigma_dual(delta-) / <G, G'>_h
-
-    divided by the global prefactor of the condensed relation.  For a
-    unimodular simplex times the prefactor it must agree with
-    condensed_weight."""
-    simplex = _as_simplex(cfg, sigma)
-    h = homology_intersection(cfg, simplex, delta)
-    if abs(h) == 0:
-        raise DegenerateParameter("vanishing homology intersection number")
-    dplus, dminus = twisted_deltas(cfg, delta, twist)
-    t = transformation_matrix(cfg, simplex, dplus)[0][0]
-    td = transformation_matrix_dual(cfg, simplex, dminus)[0][0]
-    return (_TWO_PI_I) ** (2 * cfg.d - cfg.n) * t * td / h
-
-
-def _relation_sum(cfg, tri, delta, twist, z, M, weight):
-    """sum over simplices of weight(simplex) phi(delta+) phi_dual(delta-).
-    The series of all simplices share one pass; each simplex's weight, then
-    its pair or the error of its own pass, is taken in turn, so the first
-    failure in simplex order is raised."""
+def _relation_sum(cfg, tri, delta, twist, z, M):
+    """sum over simplices of condensed_weight(simplex) phi(delta+)
+    phi_dual(delta-).  The series of all simplices share one pass; each
+    simplex's weight, then its pair or the error of its own pass, is taken
+    in turn, so the first failure in simplex order is raised."""
     dplus, dminus = twisted_deltas(cfg, delta, twist)
     pairs = gamma_series_pairs(cfg, tri.simplices, z, dplus, dminus, M)
     total = 0j
     for s, pair in zip(tri.simplices, pairs):
-        w = weight(s)
+        w = condensed_weight(cfg, s, delta)
         if isinstance(pair, Exception):
             raise pair
         f, fd = pair
@@ -222,19 +175,8 @@ def quadratic_lhs(cfg, tri, delta, twist, z, M):
         raise NotUnimodular("triangulation is not unimodular")
     if not tri.convergent:
         raise NotConvergent("triangulation is not convergent")
-    total = _relation_sum(cfg, tri, delta, twist, z, M,
-                          lambda s: condensed_weight(cfg, s, delta))
+    total = _relation_sum(cfg, tri, delta, twist, z, M)
     return quadratic_prefactor(cfg, delta, twist) * total
-
-
-def quadratic_lhs_assembled(cfg, tri, delta, twist, z, M):
-    """Same quantity computed through the transformation matrices and the
-    homology intersection numbers; an independent route used for
-    cross-checking."""
-    if not tri.unimodular:
-        raise NotUnimodular("triangulation is not unimodular")
-    return _relation_sum(cfg, tri, delta, twist, z, M,
-                         lambda s: assembled_weight(cfg, s, delta, twist))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadDimensions, ExhaustedRetries, SingularMatrix
+from .errors import BadDimensions, SingularMatrix
 
 _ROWS_MAX = 2 ** 20   # rows of one graded-lex array
 
@@ -124,31 +124,3 @@ def graded_lex_vectors(dim, degree):
     W, bounds = graded_lex_shells(dim, degree)     # W is empty if degree < 0
     yield from map(tuple, W[bounds[max(degree, 0)]:].tolist())
 
-
-def coset_representatives(M, r):
-    """The first member, in graded-lex order over k in Z_{>=0}^q, of each of
-    the r classes of (M k) mod r, for an integer d x q matrix M.
-
-    A simplex needs two such sets, with r = |det A_sigma|: M = C_int =
-    r A_sigma^{-1} A_{sigma-bar} gives the classes [A_{sigma-bar} k] of
-    Z^d / Z A_sigma, and M = r A_sigma^{-T} those of Z^sigma / Z A_sigma^T;
-    both have r classes.  Each class is hit by small k, so the search stops
-    after a few degrees; it raises ExhaustedRetries if it does not.
-    """
-    M = np.array(M, dtype=object)
-    reps = []
-    seen = set()
-    degree = 0
-    while len(reps) < r:
-        if degree > 4 * r + 4:
-            raise ExhaustedRetries(
-                f"coset search found {len(reps)} of {r} classes")
-        for k in graded_lex_vectors(M.shape[1], degree):
-            residue = tuple((M @ np.array(k, dtype=object) % r).tolist())
-            if residue not in seen:
-                seen.add(residue)
-                reps.append(list(k))
-                if len(reps) == r:
-                    break
-        degree += 1
-    return reps

@@ -1,6 +1,8 @@
 """Truncated evaluation of the Gamma-series and dual Gamma-series attached to
-a simplex, convergence-domain point sampling, and the simplex
-transformation matrices.
+a simplex, and convergence-domain point sampling.  The transformation
+matrices T_sigma and T_sigma^vee, which the relation weight of
+intersection needs only in its condensed sine form, are computed by the
+tests' assembled route (tests/oracles.py).
 
 The lattice points of a series are one int64 array in graded-lex order and
 its shell bounds.  They depend only on (q, M), q = |sigma-bar| and M the
@@ -28,7 +30,7 @@ and the layouts share one cache (_cache), bounded by the bytes of their
 arrays (_CACHE_BYTES) and evicted least recently used first.  All complex
 powers use the principal logarithm.  The Gamma pole test (_poles) and
 scipy.special (_special, imported by the first series evaluated, not by
-this module) come from specfun, as gamma()'s do.
+this module) come from specfun.
 """
 
 import cmath
@@ -42,7 +44,7 @@ from .errors import (BadDimensions, DivergentTail, GkzError,
                      NonGenericParameter, ScaleTooSmall)
 from . import intlinalg
 from .config import is_very_generic
-from .specfun import _poles, _special, gamma
+from .specfun import _poles, _special
 from .triangulation import Simplex, make_simplex
 
 _BLOCK_ROWS = 4096   # rows of W evaluated in one vectorised pass
@@ -551,90 +553,3 @@ def sample_point_in_UT(cfg, tri, t=5.0):
                     f"ratio {math.exp(lr):.3g} at sigma={s.indices}, j={j}; "
                     f"increase t")
     return tuple(z)
-
-
-# ---------------------------------------------------------------------------
-# Simplex transformation data.
-# ---------------------------------------------------------------------------
-
-def sgn_A_sigma(cfg, sigma):
-    """(-1)^{k|s^(0)| + (k-1)|s^(1)| + ... + |s^(k-1)| + k(k-1)/2}."""
-    simplex = _as_simplex(cfg, sigma)
-    k = cfg.k
-    expo = sum((k - l) * len(simplex.blocks[l]) for l in range(k)) \
-        + k * (k - 1) // 2
-    return -1 if expo % 2 else 1
-
-
-def _gamma0(simplex, delta, kvec=None):
-    """gamma_0 = sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k),
-    k = 0 when kvec is None; the A_bar k part exact, as
-    sum_{i in sigma^(0)} (C_int k)_i / r."""
-    g = complex(simplex.coords(delta)[simplex.pos0].sum())
-    if kvec is not None:
-        g += (simplex.C_int[simplex.pos0]
-              @ np.array(kvec, dtype=object)).sum() / simplex.r
-    return g
-
-
-def epsilon_sigma(cfg, sigma, delta, kvec=None):
-    """1 when |sigma^(0)| <= 1, else 1 - exp(-2 pi i gamma_0), gamma_0 =
-    sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k) (_gamma0)."""
-    simplex = _as_simplex(cfg, sigma)
-    if len(simplex.blocks[0]) <= 1:
-        return 1.0 + 0j
-    return 1.0 - cmath.exp(-2j * math.pi * _gamma0(simplex, delta, kvec))
-
-
-def _scalar_prefactor(cfg, simplex, delta):
-    num = complex(sgn_A_sigma(cfg, simplex))
-    den = complex(simplex.det)
-    for l in range(1, cfg.k + 1):
-        g = complex(delta[l - 1])
-        den *= gamma(g)
-        if len(simplex.blocks[l]) == 1:
-            num *= cmath.exp(-1j * math.pi * g)
-            den *= 1 - cmath.exp(-2j * math.pi * g)
-        else:
-            num *= cmath.exp(-1j * math.pi * (1 - g))
-    return num / den
-
-
-def transformation_matrix(cfg, sigma, delta):
-    """The r x r matrix T_sigma relating the cycle values f_{sigma,k~} to
-    the Gamma-series phi_{sigma,k}."""
-    return _transformation(cfg, sigma, delta, dual=False)
-
-
-def transformation_matrix_dual(cfg, sigma, delta):
-    """T_sigma^vee(delta) = e^{-i pi gamma_0(delta)} T_sigma(-delta), gamma_0
-    at k = 0 (_gamma0); delta itself is checked very generic."""
-    return _transformation(cfg, sigma, delta, dual=True)
-
-
-def _transformation(cfg, sigma, delta, dual):
-    """T_sigma(delta), or T_sigma^vee(delta) when dual.  Entry (i, j) is
-    scal e^{2 pi i k~_i . A_sigma^{-1} delta} X_ij epsilon_sigma(delta, k_j),
-    X_ij = e^{2 pi i (k~_i . C_int k_j mod r) / r} from exact integers."""
-    simplex = _as_simplex(cfg, sigma)
-    if not is_very_generic(simplex, delta):
-        raise NonGenericParameter(
-            f"delta={delta} is not very generic for sigma={simplex.indices}")
-    phase = cmath.exp(-1j * math.pi * _gamma0(simplex, delta)) if dual else 1
-    if dual:
-        delta = [-x for x in delta]
-    r = simplex.r
-    kreps = intlinalg.coset_representatives(simplex.C_int, r)
-    # the classes of r A_sigma^{-T} = +-adj^T: the sign leaves them alone
-    ktreps = intlinalg.coset_representatives(list(zip(*simplex.adj)), r)
-    u0 = simplex.coords(delta)
-    diag1 = [cmath.exp(2j * math.pi * x)
-             for x in (np.array(ktreps, dtype=float) @ u0).tolist()]
-    # X_ij from k~_i . C_int k_j mod r, exact
-    K = np.array(ktreps, dtype=object) @ simplex.C_int \
-        @ np.array(kreps, dtype=object).T % r
-    diag2 = [epsilon_sigma(cfg, simplex, delta, kv) for kv in kreps]
-    scal = phase * _scalar_prefactor(cfg, simplex, delta)
-    return [[scal * d1 * cmath.exp(2j * math.pi * (x / r)) * d2
-             for x, d2 in zip(row, diag2)]
-            for d1, row in zip(diag1, K.tolist())]

@@ -1,8 +1,10 @@
-"""Complex special-function kernel: Gamma, Pochhammer symbols and sine
-products.
+"""Complex special-function kernel: the Gamma pole test, Pochhammer
+symbols and sine products.
 
-Gamma is scipy's complex Gamma behind an explicit pole guard: scipy returns
-nan at a complex pole, the guard raises PoleAtNonpositiveInteger instead.
+The one Gamma kernel of the package is scipy's complex log-Gamma, which the
+series pass calls on its tables after the pole test _poles.  The complex
+Gamma itself, behind the same pole test, is a test oracle
+(tests/oracles.py): the condensed relation weight reads no Gamma value.
 scipy.special is imported on the first Gamma evaluation (_special), not with
 this module, so the exact commands (triangulations, fans, ladders and the
 rational identities) never load scipy.
@@ -13,14 +15,14 @@ import math
 
 import numpy as np
 
-from .errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
+from .errors import SineZero, UndefinedRatio
 
 _POLE_TOL = 1e-12
 
 
 def _special():
     """scipy.special, imported on the first call: every Gamma evaluation of
-    the package reads its ufuncs (gamma, gammaln, loggamma) here."""
+    the package reads its ufuncs (gammaln, loggamma) here."""
     import scipy.special
     return scipy.special
 
@@ -35,15 +37,6 @@ def _poles(x):
     pole &= np.abs(near, out=near) <= _POLE_TOL
     pole &= np.abs(x.imag, out=near) <= _POLE_TOL
     return pole
-
-
-def gamma(z):
-    """Gamma(z) for complex z.  Raises PoleAtNonpositiveInteger at the
-    poles."""
-    z = complex(z)
-    if _poles(np.array([z]))[0]:
-        raise PoleAtNonpositiveInteger(f"Gamma pole at z={z}")
-    return complex(_special().gamma(z))
 
 
 def pochhammer(alpha, m):

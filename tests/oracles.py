@@ -5,11 +5,15 @@ determinant, the Pochhammer reflection identity, the Aomoto-Gelfand and
 confluent configurations built in the full basis e(0), ..., e(n), the
 lifting criterion in Fraction arithmetic, the secondary-fan scan with one
 validation per lifting, the random-ray test one ray and one simplex at a
-time, a recursive graded-lex enumerator, the recursive ladder walk and the
-staircase index sets built from it, the Gamma-series summed one shell
-at a time and the Gamma-series summed term by term in mpmath with exact
-Gamma arguments; and series_pair, the pair of series of one simplex read
-off the stacked series pass."""
+time, a recursive graded-lex enumerator and the coset search over it, the
+recursive ladder walk and the staircase index sets built from it, the
+Gamma-series summed one shell at a time and the Gamma-series summed term by
+term in mpmath with exact Gamma arguments; series_pair, the pair of series
+of one simplex read off the stacked series pass, and the relation sum one
+simplex at a time; the complex Gamma function behind the pole test; and the
+assembled route to the relation weight, which the library computes only in
+its condensed sine form: the transformation matrices T_sigma and
+T_sigma^vee, the homology intersection number and their product."""
 
 import cmath
 import math
@@ -19,11 +23,16 @@ from itertools import combinations, product
 
 import mpmath
 import numpy as np
+import scipy.special
 from scipy.special import gammaln, loggamma
 
-from gkzeuler import intlinalg, series, specfun, triangulation
-from gkzeuler.errors import (DegenerateLifting, ExhaustedRetries,
-                             NotATriangulation, SingularMatrix)
+from gkzeuler import intersection, intlinalg, series, specfun, triangulation
+from gkzeuler.config import is_very_generic
+from gkzeuler.errors import (DegenerateLifting, DegenerateParameter,
+                             DivergentTail, ExhaustedRetries,
+                             NonGenericParameter, NotATriangulation,
+                             NotUnimodular, PoleAtNonpositiveInteger,
+                             SingularMatrix)
 
 
 def _hyp2f1(a, b, c, w, M):
@@ -91,6 +100,16 @@ def det_cofactor(M):
     return total
 
 
+def gamma(z):
+    """Gamma(z) for complex z: scipy's complex Gamma behind the pole test
+    of the series pass (specfun._poles), as scipy returns nan at a pole.
+    Raises PoleAtNonpositiveInteger at the poles."""
+    z = complex(z)
+    if specfun._poles(np.array([z]))[0]:
+        raise PoleAtNonpositiveInteger(f"Gamma pole at z={z}")
+    return complex(scipy.special.gamma(z))
+
+
 def pochhammer_reflection_check(gamma_val, m):
     """Residual of the reflection identity
     (g)_m = 2 pi i e^{-pi i g} (-1)^m / (Gamma(g) Gamma(1-g-m) (1-e^{-2 pi i g})).
@@ -98,7 +117,7 @@ def pochhammer_reflection_check(gamma_val, m):
     g = complex(gamma_val)
     lhs = specfun.pochhammer(g, m)
     rhs = (2j * math.pi * cmath.exp(-1j * math.pi * g) * (-1) ** m
-           / (specfun.gamma(g) * specfun.gamma(1 - g - m)
+           / (gamma(g) * gamma(1 - g - m)
               * (1 - cmath.exp(-2j * math.pi * g))))
     return abs(lhs - rhs)
 
@@ -264,10 +283,17 @@ def graded_lex_recursive(dim, degree):
 
 def coset_representatives_by_search(M, r):
     """The first r distinct residues (M k) mod r over k in
-    graded_lex_recursive order, degree 0 to 4 r + 4, each with the first k
-    that gives it; raises ExhaustedRetries when fewer than r appear."""
+    graded_lex_recursive order, each with the first k that gives it, for an
+    integer d x q matrix M.  As M k mod r depends on k mod r only, every
+    class that appears at all appears with each k_j <= r - 1, so by degree
+    q (r - 1); raises ExhaustedRetries when fewer than r appear by then.
+
+    A simplex needs two such sets, with r = |det A_sigma|: M = C_int =
+    r A_sigma^{-1} A_{sigma-bar} gives the classes [A_{sigma-bar} k] of
+    Z^d / Z A_sigma, and M = r A_sigma^{-T} those of Z^sigma / Z A_sigma^T;
+    both have r classes."""
     reps, seen = [], set()
-    for degree in range(4 * r + 5):
+    for degree in range(len(M[0]) * (r - 1) + 1):
         for k in graded_lex_recursive(len(M[0]), degree):
             residue = tuple(sum(a * b for a, b in zip(row, k)) % r
                             for row in M)
@@ -397,3 +423,165 @@ def series_by_direct_sum(cfg, simplex, kvec, z, delta, M, dual):
         for i, j in enumerate(simplex.indices):
             total *= mpmath.power(zc[j - 1], sgn * u0[i])
         return complex(total)
+
+
+def relation_sum_per_simplex(cfg, tri, delta, twist, z, M, weight):
+    """The relation sum one simplex at a time: its weight(simplex), then
+    its own one-simplex series pass, then the trust check."""
+    dplus, dminus = intersection.twisted_deltas(cfg, delta, twist)
+    total = 0j
+    for s in tri.simplices:
+        w = weight(s)
+        f, fd = series_pair(cfg, s, z, dplus, dminus, M)
+        if not (f.trusted and fd.trusted):
+            raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
+        total += w * f.value * fd.value
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The assembled route to the relation weight: the transformation matrices,
+# the homology intersection number and their product.
+# ---------------------------------------------------------------------------
+
+_TWO_PI_I = 2j * math.pi
+
+
+def sgn_A_sigma(cfg, sigma):
+    """(-1)^{k|s^(0)| + (k-1)|s^(1)| + ... + |s^(k-1)| + k(k-1)/2}."""
+    simplex = series._as_simplex(cfg, sigma)
+    k = cfg.k
+    expo = sum((k - l) * len(simplex.blocks[l]) for l in range(k)) \
+        + k * (k - 1) // 2
+    return -1 if expo % 2 else 1
+
+
+def _gamma0(simplex, delta, kvec=None):
+    """gamma_0 = sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k),
+    k = 0 when kvec is None; the A_bar k part exact, as
+    sum_{i in sigma^(0)} (C_int k)_i / r."""
+    g = complex(simplex.coords(delta)[simplex.pos0].sum())
+    if kvec is not None:
+        g += (simplex.C_int[simplex.pos0]
+              @ np.array(kvec, dtype=object)).sum() / simplex.r
+    return g
+
+
+def epsilon_sigma(cfg, sigma, delta, kvec=None):
+    """1 when |sigma^(0)| <= 1, else 1 - exp(-2 pi i gamma_0), gamma_0 =
+    sum_{i in sigma^(0)} e_i^T A_sigma^{-1}(delta + A_bar k) (_gamma0)."""
+    simplex = series._as_simplex(cfg, sigma)
+    if len(simplex.blocks[0]) <= 1:
+        return 1.0 + 0j
+    return 1.0 - cmath.exp(-2j * math.pi * _gamma0(simplex, delta, kvec))
+
+
+def _scalar_prefactor(cfg, simplex, delta):
+    num = complex(sgn_A_sigma(cfg, simplex))
+    den = complex(simplex.det)
+    for l in range(1, cfg.k + 1):
+        g = complex(delta[l - 1])
+        den *= gamma(g)
+        if len(simplex.blocks[l]) == 1:
+            num *= cmath.exp(-1j * math.pi * g)
+            den *= 1 - cmath.exp(-2j * math.pi * g)
+        else:
+            num *= cmath.exp(-1j * math.pi * (1 - g))
+    return num / den
+
+
+def transformation_matrix(cfg, sigma, delta):
+    """The r x r matrix T_sigma relating the cycle values f_{sigma,k~} to
+    the Gamma-series phi_{sigma,k}."""
+    return _transformation(cfg, sigma, delta, dual=False)
+
+
+def transformation_matrix_dual(cfg, sigma, delta):
+    """T_sigma^vee(delta) = e^{-i pi gamma_0(delta)} T_sigma(-delta), gamma_0
+    at k = 0 (_gamma0); delta itself is checked very generic."""
+    return _transformation(cfg, sigma, delta, dual=True)
+
+
+def _transformation(cfg, sigma, delta, dual):
+    """T_sigma(delta), or T_sigma^vee(delta) when dual.  Entry (i, j) is
+    scal e^{2 pi i k~_i . A_sigma^{-1} delta} X_ij epsilon_sigma(delta, k_j),
+    X_ij = e^{2 pi i (k~_i . C_int k_j mod r) / r} from exact integers."""
+    simplex = series._as_simplex(cfg, sigma)
+    if not is_very_generic(simplex, delta):
+        raise NonGenericParameter(
+            f"delta={delta} is not very generic for sigma={simplex.indices}")
+    phase = cmath.exp(-1j * math.pi * _gamma0(simplex, delta)) if dual else 1
+    if dual:
+        delta = [-x for x in delta]
+    r = simplex.r
+    kreps = coset_representatives_by_search(simplex.C_int, r)
+    # the classes of r A_sigma^{-T} = +-adj^T: the sign leaves them alone
+    ktreps = coset_representatives_by_search(list(zip(*simplex.adj)), r)
+    u0 = simplex.coords(delta)
+    diag1 = [cmath.exp(2j * math.pi * x)
+             for x in (np.array(ktreps, dtype=float) @ u0).tolist()]
+    # X_ij from k~_i . C_int k_j mod r, exact
+    K = np.array(ktreps, dtype=object) @ simplex.C_int \
+        @ np.array(kreps, dtype=object).T % r
+    diag2 = [epsilon_sigma(cfg, simplex, delta, kv) for kv in kreps]
+    scal = phase * _scalar_prefactor(cfg, simplex, delta)
+    return [[scal * d1 * cmath.exp(2j * math.pi * (x / r)) * d2
+             for x, d2 in zip(row, diag2)]
+            for d1, row in zip(diag1, K.tolist())]
+
+
+def hankel_intersection(gamma0):
+    """Self-pairing factor contributed by an unbounded direction carrying
+    the exponential factor: 1 - e^{-2 pi i gamma0}."""
+    return 1.0 - cmath.exp(-_TWO_PI_I * complex(gamma0))
+
+
+def homology_intersection(cfg, sigma, delta):
+    """<Gamma_{sigma,0}, dual Gamma_{sigma,0}>_h for a unimodular simplex:
+    one product of hankel_intersection factors, each 1 - e^{2 pi i x} taken
+    as hankel_intersection(-x)."""
+    simplex = series._as_simplex(cfg, sigma)
+    if abs(simplex.det) != 1:
+        raise NotUnimodular(f"sigma={simplex.indices} has |det|="
+                            f"{abs(simplex.det)}")
+    rows = simplex.coords(delta)
+    xs = [rows[p] for p in simplex.pos0]
+    if len(xs) > 1:
+        gamma0 = _gamma0(simplex, delta)
+        xs += [gamma0, -gamma0]
+    for l in range(1, cfg.k + 1):
+        if len(simplex.blocks[l]) > 1:
+            xs += [-complex(delta[l - 1])] + [
+                rows[p] for p, j in enumerate(simplex.indices)
+                if j in simplex.blocks[l]]
+    return math.prod(map(hankel_intersection, xs))
+
+
+def assembled_weight(cfg, sigma, delta, twist):
+    """The per-simplex weight built from the transformation matrices and
+    the homology intersection number instead of the closed sine form:
+
+        (2 pi i)^{2 d - n} T_sigma(delta+) T_sigma_dual(delta-) / <G, G'>_h
+
+    divided by the global prefactor of the condensed relation.  For a
+    unimodular simplex it must agree with intersection.condensed_weight
+    times that prefactor."""
+    simplex = series._as_simplex(cfg, sigma)
+    h = homology_intersection(cfg, simplex, delta)
+    if abs(h) == 0:
+        raise DegenerateParameter("vanishing homology intersection number")
+    dplus, dminus = intersection.twisted_deltas(cfg, delta, twist)
+    t = transformation_matrix(cfg, simplex, dplus)[0][0]
+    td = transformation_matrix_dual(cfg, simplex, dminus)[0][0]
+    return _TWO_PI_I ** (2 * cfg.d - cfg.n) * t * td / h
+
+
+def quadratic_lhs_assembled(cfg, tri, delta, twist, z, M):
+    """intersection.quadratic_lhs through the assembled weight: the
+    relation sum one simplex at a time, each weighted by
+    assembled_weight."""
+    if not tri.unimodular:
+        raise NotUnimodular("triangulation is not unimodular")
+    return relation_sum_per_simplex(
+        cfg, tri, delta, twist, z, M,
+        lambda s: assembled_weight(cfg, s, delta, twist))

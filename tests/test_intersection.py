@@ -1,5 +1,6 @@
-"""Homology and cohomology intersection numbers, the dual-route
-cross-check, exact coefficient identities and classical residuals."""
+"""Homology and cohomology intersection numbers, the cross-check of the
+condensed relation weight against the assembled route of the oracles,
+exact coefficient identities and classical residuals."""
 
 import cmath
 import math
@@ -8,8 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (gauss_relation_residual, kummer_relation_residual,
-                     series_pair)
+from oracles import (assembled_weight, gauss_relation_residual,
+                     hankel_intersection, homology_intersection,
+                     kummer_relation_residual, quadratic_lhs_assembled,
+                     relation_sum_per_simplex)
 
 from gkzeuler import config, intersection, series, triangulation
 from gkzeuler.errors import (BadDimensions, DivergentTail,
@@ -19,7 +22,7 @@ from gkzeuler.errors import (BadDimensions, DivergentTail,
 
 def test_hankel_intersection_value():
     g = 0.3
-    assert abs(intersection.hankel_intersection(g)
+    assert abs(hankel_intersection(g)
                - (1 - cmath.exp(-2j * math.pi * g))) < 1e-15
 
 
@@ -69,7 +72,7 @@ def test_ag_zmatrix_and_det():
 def test_homology_intersection_rejects_non_unimodular():
     cfg = config.get_config("g1")
     with pytest.raises(NotUnimodular):
-        intersection.homology_intersection(cfg, (2, 3, 4), [0.3, 0.5, 0.7])
+        homology_intersection(cfg, (2, 3, 4), [0.3, 0.5, 0.7])
 
 
 @pytest.mark.parametrize("name", ["gauss", "kummer", "f1", "phi1",
@@ -84,7 +87,7 @@ def test_assembled_route_matches_condensed_route(name):
     pref = intersection.quadratic_prefactor(cfg, delta, twist)
     for s in tri.simplices:
         condensed = pref * intersection.condensed_weight(cfg, s, delta)
-        assembled = intersection.assembled_weight(cfg, s, delta, twist)
+        assembled = assembled_weight(cfg, s, delta, twist)
         assert abs(condensed - assembled) <= 1e-11 * abs(condensed), s.indices
 
 
@@ -94,24 +97,9 @@ def test_quadratic_lhs_two_routes_agree(name):
     data = intersection.CASES[name](rng)
     a = intersection.quadratic_lhs(data["cfg"], data["tri"], data["delta"],
                                    data["twist"], data["z"], 20)
-    b = intersection.quadratic_lhs_assembled(data["cfg"], data["tri"],
-                                             data["delta"], data["twist"],
-                                             data["z"], 20)
+    b = quadratic_lhs_assembled(data["cfg"], data["tri"], data["delta"],
+                                data["twist"], data["z"], 20)
     assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
-
-
-def _relation_sum_per_simplex(cfg, tri, delta, twist, z, M, weight):
-    """The relation sum one simplex at a time: its weight, then its own
-    one-simplex series pass, then the trust check."""
-    dplus, dminus = intersection.twisted_deltas(cfg, delta, twist)
-    total = 0j
-    for s in tri.simplices:
-        w = weight(s)
-        f, fd = series_pair(cfg, s, z, dplus, dminus, M)
-        if not (f.trusted and fd.trusted):
-            raise DivergentTail(f"untrusted series: sigma={s.indices}, M={M}")
-        total += w * f.value * fd.value
-    return total
 
 
 def _outcome(fn, *args):
@@ -124,7 +112,9 @@ def _outcome(fn, *args):
 def test_relation_sum_raises_the_first_failure_in_simplex_order(monkeypatch):
     # the stacked pass evaluates every simplex at once, yet the error raised
     # is the one the per-simplex loop meets first: a simplex's weight, then
-    # its series, then their trust, before any later simplex
+    # its series, then their trust, before any later simplex.  A failing
+    # weight is injected through intersection.condensed_weight, which both
+    # sides read
     data = intersection.CASES["phi1"](np.random.default_rng(0))
     cfg, tri, delta, twist, z = (data["cfg"], data["tri"], data["delta"],
                                  data["twist"], data["z"])
@@ -135,14 +125,16 @@ def test_relation_sum_raises_the_first_failure_in_simplex_order(monkeypatch):
         return (simplex.indices not in non_generic
                 and config.is_very_generic(simplex, d))
 
-    def weight_failing_at(*bad):
-        def weight(s):
-            if s.indices in bad:
-                raise SineZero(f"sin(pi z) vanishes at sigma={s.indices}")
-            return intersection.condensed_weight(cfg, s, delta)
-        return weight
+    condensed_weight = intersection.condensed_weight
+    bad_weight = set()
+
+    def weight(cfg, s, delta):
+        if s.indices in bad_weight:
+            raise SineZero(f"sin(pi z) vanishes at sigma={s.indices}")
+        return condensed_weight(cfg, s, delta)
 
     monkeypatch.setattr(series, "is_very_generic", generic)
+    monkeypatch.setattr(intersection, "condensed_weight", weight)
     cases = [
         # (non-generic simplices, simplices whose weight raises, M, expected)
         ({last}, (), 0, DivergentTail),          # untrusted first simplex
@@ -153,16 +145,18 @@ def test_relation_sum_raises_the_first_failure_in_simplex_order(monkeypatch):
         ((), (middle,), -1, BadDimensions),
         ((), (), 40, "ok"),
     ]
-    for bad_delta, bad_weight, M, expected in cases:
+    for bad_delta, bad_weights, M, expected in cases:
         non_generic.clear()
         non_generic.update(bad_delta)
-        weight = weight_failing_at(*bad_weight)
+        bad_weight.clear()
+        bad_weight.update(bad_weights)
         got = _outcome(intersection._relation_sum, cfg, tri, delta, twist, z,
-                       M, weight)
-        want = _outcome(_relation_sum_per_simplex, cfg, tri, delta, twist, z,
-                        M, weight)
-        assert got == want, (bad_delta, bad_weight, M)
-        assert got[0] == expected, (bad_delta, bad_weight, M)
+                       M)
+        want = _outcome(relation_sum_per_simplex, cfg, tri, delta, twist, z,
+                        M, lambda s: intersection.condensed_weight(cfg, s,
+                                                                   delta))
+        assert got == want, (bad_delta, bad_weights, M)
+        assert got[0] == expected, (bad_delta, bad_weights, M)
 
 
 @pytest.mark.parametrize("name", ["phi1", "ag"])

@@ -1,6 +1,6 @@
 """Gamma-series evaluation: lattice coset structure, an independent
-direct-summation oracle, the dual-series sign rule, convergence guards and
-transformation matrices."""
+direct-summation oracle, the dual-series sign rule, convergence guards,
+and the transformation matrices of the oracles' assembled route."""
 
 import cmath
 import dataclasses
@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (graded_lex_recursive, series_by_direct_sum,
-                     series_by_shell, series_pair, split_shells)
+from oracles import (coset_representatives_by_search, epsilon_sigma,
+                     graded_lex_recursive, series_by_direct_sum,
+                     series_by_shell, series_pair, sgn_A_sigma, split_shells,
+                     transformation_matrix, transformation_matrix_dual)
 
 from gkzeuler import (cli, config, intersection, intlinalg, series,
                       triangulation)
@@ -36,7 +38,7 @@ def _coset_reps(cfg, s):
     inv, _ = intlinalg.rat_inverse(cfg.submatrix(s.indices))
     C = np.array(inv, dtype=object) \
         @ np.array(cfg.submatrix(sigma_bar), dtype=object)
-    return intlinalg.coset_representatives(
+    return coset_representatives_by_search(
         [[int(x * s.r) for x in row] for row in C], s.r)
 
 
@@ -67,7 +69,7 @@ def test_lattice_shell_congruence_is_exact():
     sigma_bar = [j for j in range(1, cfg.N + 1) if j not in s.indices]
     C = np.array(inv, dtype=object) \
         @ np.array(cfg.submatrix(sigma_bar), dtype=object)
-    kvec = intlinalg.coset_representatives(
+    kvec = coset_representatives_by_search(
         [[int(x * s.r) for x in row] for row in C], s.r)[1]
     W, _ = series._coset_shells(s, kvec, 12)[:2]
     for w in W:
@@ -121,7 +123,7 @@ def test_series_at_volume_three_matches_exact_arguments(dual):
     z = (1.0, 1.0, 0.5)
     fn = series.dual_gamma_series if dual else series.gamma_series
     for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
-        for kvec in intlinalg.coset_representatives(s.C_int, s.r):
+        for kvec in coset_representatives_by_search(s.C_int, s.r):
             got = fn(cfg, s, kvec, z, delta, 30)
             want = series_by_direct_sum(cfg, s, kvec, z, delta, 30, dual)
             assert abs(got.value - want) <= 1e-12 * abs(want), (delta, kvec)
@@ -140,7 +142,7 @@ def test_series_at_volume_three_is_bit_for_bit_the_shell_reference(dual):
         return np.asarray(x, dtype=complex).tobytes()
 
     for delta in [(0.313, 0.577), (0.313 + 0.25j, -0.577)]:
-        for kvec in intlinalg.coset_representatives(s.C_int, s.r):
+        for kvec in coset_representatives_by_search(s.C_int, s.r):
             for M in (0, 1, 5, 30):
                 got = fn(cfg, s, kvec, z, delta, M)
                 value, shell_maxes, terms, series_abs = series_by_shell(
@@ -590,7 +592,7 @@ def test_non_generic_parameter_rejected():
         series.gamma_series(cfg, (1, 2, 3), None, [1, 1, 1, 0.1],
                             [1.0, 2.0, 3.0], 6)
     with pytest.raises(NonGenericParameter):
-        series.transformation_matrix(cfg, (1, 2, 3), [1.0, 2.0, 3.0])
+        transformation_matrix(cfg, (1, 2, 3), [1.0, 2.0, 3.0])
 
 
 def test_sample_point_in_ut():
@@ -608,12 +610,12 @@ def test_sample_point_in_ut():
 def test_sgn_and_epsilon_basics():
     cfg = config.get_config("gauss")
     for sigma in [(1, 2, 3), (1, 2, 4), (2, 3, 4)]:
-        assert series.sgn_A_sigma(cfg, sigma) in (-1, 1)
-        assert series.epsilon_sigma(cfg, sigma, [0.3, 0.5, 0.7]) == 1.0 + 0j
+        assert sgn_A_sigma(cfg, sigma) in (-1, 1)
+        assert epsilon_sigma(cfg, sigma, [0.3, 0.5, 0.7]) == 1.0 + 0j
     cfgc = config.get_config("e36c")
     s = triangulation.make_simplex(cfgc, (5, 6, 7, 8))
     assert len(s.blocks[0]) == 2
-    eps = series.epsilon_sigma(cfgc, s, [0.23, 0.31, 0.13, 0.17])
+    eps = epsilon_sigma(cfgc, s, [0.23, 0.31, 0.13, 0.17])
     assert abs(eps) > 0 and eps != 1.0 + 0j
 
 
@@ -621,16 +623,16 @@ def test_transformation_matrix_shape_and_unimodular_scalar():
     cfg = config.get_config("g1")
     delta = [0.313, 0.577, 0.239]
     s = _nonunimodular_simplex(cfg)
-    T = series.transformation_matrix(cfg, s, delta)
+    T = transformation_matrix(cfg, s, delta)
     assert len(T) == s.r and all(len(row) == s.r for row in T)
     s1 = triangulation.make_simplex(cfg, (1, 2, 5))
-    T1 = series.transformation_matrix(cfg, s1, delta)
+    T1 = transformation_matrix(cfg, s1, delta)
     assert len(T1) == 1 and len(T1[0]) == 1
 
 
 def test_coset_search_takes_the_numpy_c_int():
     _, s = _volume_three_simplex()
-    assert intlinalg.coset_representatives(s.C_int, 3) == [[0], [1], [2]]
+    assert coset_representatives_by_search(s.C_int, 3) == [[0], [1], [2]]
 
 
 def test_transformation_matrix_rows_carry_the_dual_coset_phases():
@@ -653,7 +655,7 @@ def test_transformation_matrix_rows_carry_the_dual_coset_phases():
         degree += 1
     assert reps == [(0, 0), (1, 0), (0, 1)]
     u0 = [sum(complex(a) * x for a, x in zip(row, delta)) for row in inv]
-    T = series.transformation_matrix(cfg, s, delta)
+    T = transformation_matrix(cfg, s, delta)
     for i, kt in enumerate(reps):
         want = cmath.exp(2j * math.pi * sum(k * u for k, u in zip(kt, u0)))
         assert abs(T[i][0] / T[0][0] - want) <= 1e-12, (i, kt)
@@ -684,8 +686,8 @@ def test_transformation_matrices_match_their_pins(pin):
     s = triangulation.make_simplex(cfg, pin["sigma"])
     assert s.r == pin["r"]
     delta = [complex(*x) for x in pin["delta"]]
-    for key, fn in (("T", series.transformation_matrix),
-                    ("T_dual", series.transformation_matrix_dual)):
+    for key, fn in (("T", transformation_matrix),
+                    ("T_dual", transformation_matrix_dual)):
         got = fn(cfg, s, delta)
         want = [[complex(*x) for x in row] for row in pin[key]]
         assert len(got) == len(want) == s.r

@@ -1,5 +1,6 @@
-"""Gamma, Pochhammer and sine-product kernels, checked against mpmath and
-against exact rational arithmetic."""
+"""Pochhammer and sine-product kernels, and the Gamma oracle behind the
+series pass's pole test, checked against mpmath and against exact rational
+arithmetic."""
 
 import cmath
 import math
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pochhammer_exact, pochhammer_reflection_check
+from oracles import gamma, pochhammer_exact, pochhammer_reflection_check
 
 from gkzeuler import specfun
 from gkzeuler.errors import PoleAtNonpositiveInteger, SineZero, UndefinedRatio
@@ -32,7 +33,7 @@ def test_gamma_matches_mpmath(re, im):
     z = complex(re, im)
     if not _off_poles(z):
         return
-    got = specfun.gamma(z)
+    got = gamma(z)
     want = complex(mpmath.gamma(z))
     assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
@@ -40,7 +41,7 @@ def test_gamma_matches_mpmath(re, im):
 def test_gamma_raises_on_nonpositive_integers():
     for n in (0, -1, -2, -7):
         with pytest.raises(PoleAtNonpositiveInteger):
-            specfun.gamma(n)
+            gamma(n)
 
 
 @given(re=_safe_reals, im=_safe_imags, m=st.integers(min_value=-6, max_value=8))
